@@ -31,7 +31,8 @@ distinct, so LRU victim selection (min over a bin / slot row) and the
 export-time rebuild of insertion-ordered bin dicts are deterministic and
 exactly match the reference tie-breaks. The lazy fold
 ``eff[toks[fp:i]] = arange(...)`` is a last-write-wins fancy assignment —
-precisely "key of the last occurrence".
+precisely "key of the last occurrence" — applied in ``CHUNK``-sized
+blocks (:func:`_fold`), so no kernel temporary grows with the trace.
 
 Miss-heavy stretches would make the scan pointless (every access is a
 candidate, and each eviction pays an O(chunk) occurrence search), so two
@@ -100,6 +101,16 @@ _CHUNK_COINS = 1 << 16  # uniform-stream refill size (matches per-access kernels
 
 
 # -- the scan engine -----------------------------------------------------------
+
+def _fold(eff: np.ndarray, toks_arr: np.ndarray, lo: int, hi: int, base: int) -> None:
+    """Give the tokens at positions ``[lo, hi)`` their recency keys
+    ``base + i + 1``: ``eff[toks_arr[lo:hi]] = arange(...)`` in blocks of at
+    most ``CHUNK``, so the key temporary stays O(``CHUNK``) however long the
+    span. Blocks go in trace order, so the last occurrence still wins."""
+    for a in range(lo, hi, CHUNK):
+        b = min(a + CHUNK, hi)
+        eff[toks_arr[a:b]] = np.arange(base + a + 1, base + b + 1, dtype=np.int64)
+
 
 def _scan(
     toks_arr: np.ndarray,
@@ -210,9 +221,8 @@ def scan_heatsink(p: HeatSinkLRU, pages: np.ndarray) -> tuple[np.ndarray, int]:
 
     def fold(i: int) -> None:
         nonlocal fp
-        if fp < i:
-            eff[toks_arr[fp:i]] = np.arange(fp + 1, i + 1, dtype=np.int64)
-            fp = i
+        _fold(eff, toks_arr, fp, i, 0)
+        fp = max(fp, i)
 
     def on_miss(i: int, t: int) -> int:
         nonlocal ci, ncoins, lt_p, lt_half
@@ -339,9 +349,8 @@ def scan_plru(p: PLruCache, pages: np.ndarray) -> tuple[np.ndarray, int]:
 
     def fold(i: int) -> None:
         nonlocal fp
-        if fp < i:
-            eff[toks_arr[fp:i]] = np.arange(base + fp + 1, base + i + 1, dtype=np.int64)
-            fp = i
+        _fold(eff, toks_arr, fp, i, base)
+        fp = max(fp, i)
 
     def on_miss(i: int, t: int) -> int:
         fold(i)
@@ -432,8 +441,7 @@ def scan_drandom(p: DRandomCache, pages: np.ndarray) -> tuple[np.ndarray, int]:
         return victim
 
     consumed = _scan(toks_arr, resident, on_miss)
-    if consumed:
-        eff[toks_arr[:consumed]] = np.arange(base + 1, base + consumed + 1, dtype=np.int64)
+    _fold(eff, toks_arr, 0, consumed, base)
     _export_slotted(p, dec, eff, spage, consumed)
 
     tail = remaining_tail(drawn, ncoins - ci)

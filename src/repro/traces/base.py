@@ -16,18 +16,22 @@ import numpy as np
 
 from repro.errors import TraceError
 
-__all__ = ["Trace", "as_page_array", "concat_traces", "trace_stats"]
+__all__ = ["Trace", "as_page_array", "as_page_block", "concat_traces", "trace_stats"]
 
 #: elements converted per block when iterating a Trace element-wise
 _ITER_BLOCK = 65_536
 
 
-def _validate_pages(pages: np.ndarray) -> np.ndarray:
+def _check_pages(pages: np.ndarray) -> np.ndarray:
     if pages.ndim != 1:
         raise TraceError(f"trace must be one-dimensional, got shape {pages.shape}")
     if pages.size and int(pages.min()) < 0:
         raise TraceError("trace contains negative page ids")
-    return np.ascontiguousarray(pages, dtype=np.int64)
+    return pages
+
+
+def _validate_pages(pages: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(_check_pages(pages), dtype=np.int64)
 
 
 def as_page_array(trace: "Trace | np.ndarray | Sequence[int]") -> np.ndarray:
@@ -40,6 +44,20 @@ def as_page_array(trace: "Trace | np.ndarray | Sequence[int]") -> np.ndarray:
             raise TraceError("trace contains non-integer page ids")
         arr = arr.astype(np.int64)
     return _validate_pages(arr.astype(np.int64, copy=False))
+
+
+def as_page_block(trace: "Trace | np.ndarray | Sequence[int]") -> np.ndarray:
+    """Validate like :func:`as_page_array`, but without the widening copy.
+
+    An array whose dtype ``int64`` holds exactly (any signed integer,
+    unsigned up to 32 bits, bool) comes back as it is, so a caller that
+    widens into a buffer of its own copies the pages once. Anything else
+    goes through :func:`as_page_array` and comes back as ``int64``.
+    """
+    arr = trace.pages if isinstance(trace, Trace) else np.asarray(trace)
+    if np.can_cast(arr.dtype, np.int64):
+        return _check_pages(arr)
+    return as_page_array(arr)
 
 
 @dataclass(frozen=True)

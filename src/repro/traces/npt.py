@@ -196,6 +196,10 @@ def _parse_index(path: Path) -> tuple[dict, list[_ChunkEntry], int]:
             raise TraceFormatError("corrupt index footer", path=path) from exc
     if not isinstance(meta, dict) or "chunks" not in meta:
         raise TraceFormatError("index footer missing 'chunks'", path=path)
+    if not isinstance(meta["chunks"], list):
+        raise TraceFormatError("index footer 'chunks' is not a list", path=path)
+    if not isinstance(meta.get("params") or {}, dict):
+        raise TraceFormatError("index footer 'params' is not an object", path=path)
     index: list[_ChunkEntry] = []
     for i, raw in enumerate(meta["chunks"]):
         try:
@@ -228,6 +232,10 @@ class NptTraceStream(TraceStream):
     (:meth:`chunk_slice` builds the shard streams). With ``chunk`` set,
     stored chunks are re-buffered into exactly ``chunk``-sized outputs
     (except the last); otherwise the file's native chunking is yielded.
+    Chunks come out in the stored dtype (``uint8`` … ``int64``, per
+    chunk), as read-only views of the payload just read: the one
+    widening to ``int64`` happens downstream, in the
+    :class:`~repro.traces.streaming.Prefetcher` ring or at ``policy.run``.
 
     Pickles as (path, window, chunk) — workers re-parse the index on
     first use, so shipping one to a ``run_sweep`` pool costs bytes.
@@ -303,20 +311,26 @@ class NptTraceStream(TraceStream):
             stop_chunk=state["stop_chunk"],
         )
 
+    def _read_chunk(self, handle, entry: _ChunkEntry) -> np.ndarray:
+        """One stored chunk as a read-only view of its payload, in the
+        stored dtype (no widening copy)."""
+        handle.seek(entry.offset)
+        payload = handle.read(entry.nbytes)
+        if len(payload) != entry.nbytes:
+            raise TraceFormatError(
+                f"short read at offset {entry.offset} "
+                f"({len(payload)}/{entry.nbytes} bytes) — file truncated",
+                path=self.path,
+            )
+        return np.frombuffer(payload, dtype=np.dtype(entry.dtype))
+
     def _read_stored(self) -> Iterator[np.ndarray]:
         with self.path.open("rb") as handle:
             for entry in self._index[self.start_chunk : self.stop_chunk]:
-                handle.seek(entry.offset)
-                payload = handle.read(entry.nbytes)
-                if len(payload) != entry.nbytes:
-                    raise TraceFormatError(
-                        f"short read at offset {entry.offset} "
-                        f"({len(payload)}/{entry.nbytes} bytes) — file truncated",
-                        path=self.path,
-                    )
-                yield np.frombuffer(payload, dtype=np.dtype(entry.dtype)).astype(
-                    np.int64
-                )
+                # yielded straight from the call: this frame keeps no
+                # reference, so a payload dies as soon as its consumer
+                # drops it, before the next one is read
+                yield self._read_chunk(handle, entry)
 
     def chunks(self) -> Iterator[np.ndarray]:
         if self._rechunk is None:
@@ -325,15 +339,18 @@ class NptTraceStream(TraceStream):
         want = self._rechunk
         pending: list[np.ndarray] = []
         buffered = 0
+        # only `pending` keeps payloads alive across a read, and only the
+        # part not yet yielded
         for block in self._read_stored():
             pending.append(block)
             buffered += block.size
+            del block
             while buffered >= want:
                 merged = pending[0] if len(pending) == 1 else np.concatenate(pending)
+                pending = [merged[want:]] if merged.size > want else []
+                buffered -= want
                 yield merged[:want]
-                rest = merged[want:]
-                pending = [rest] if rest.size else []
-                buffered = rest.size
+                del merged
         if buffered:
             yield pending[0] if len(pending) == 1 else np.concatenate(pending)
 

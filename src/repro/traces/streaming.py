@@ -2,7 +2,7 @@
 
 A :class:`TraceStream` is the chunked dual of :class:`~repro.traces.base.Trace`:
 instead of one resident ``int64`` array it yields a sequence of bounded
-dense-page ndarray chunks, so a 10⁸-access replay costs O(chunk) memory
+integer ndarray chunks, so a 10⁸-access replay costs O(chunk) memory
 end to end. The fast kernels already guarantee bit-exact ``reset=False``
 continuations at arbitrary access boundaries (see
 :mod:`repro.sim.kernels`), which makes chunk stitching *exactly*
@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, TraceError
 from repro.rng import SeedLike, make_rng
-from repro.traces.base import Trace, as_page_array
+from repro.traces.base import Trace, as_page_array, as_page_block
 
 __all__ = [
     "DEFAULT_CHUNK",
@@ -65,6 +65,8 @@ __all__ = [
 
 #: default accesses per chunk; 1M int64 = 8 MB resident per buffer
 DEFAULT_CHUNK = 1_000_000
+#: Prefetcher ring buffers: the consumer holds one while the reader fills the other
+RING_DEPTH = 2
 
 
 def _check_chunk(chunk: int) -> int:
@@ -77,9 +79,14 @@ class TraceStream:
     """Base class for chunked access streams.
 
     Subclasses implement :meth:`chunks` — a fresh iterator of 1-D
-    ``int64`` ndarrays per call — and set ``name``/``params``/``length``
+    non-negative integer ndarrays, of any integer dtype, per call — and
+    set ``name``/``params``/``length``
     (``None`` when the total is unknown up front, e.g. CSV input) and
-    ``chunk`` (the nominal chunk size, for reporting).
+    ``chunk`` (the nominal chunk size, for reporting). A chunk may be a
+    read-only view in its stored dtype (``.npt`` yields ``uint8`` to
+    ``int64`` as the file holds them); consumers widen it once, through
+    :func:`~repro.traces.base.as_page_array` or the :class:`Prefetcher`
+    ring.
 
     ``cheap_pickle`` marks streams whose pickled form is small (a path
     or generator parameters, not data); :func:`repro.sim.sweep.run_sweep`
@@ -455,46 +462,60 @@ class RemappedStream(TraceStream):
 class Prefetcher:
     """Double-buffered background decoding of a stream.
 
-    A reader thread pulls chunks from the source and copies them into a
-    small ring of reusable ``int64`` buffers (``depth`` of them, so chunk
-    N+1 decodes while the consumer works on chunk N). Yielded arrays are
-    **read-only views valid only until the next iteration step** — the
-    consumer must finish with (or copy) a chunk before advancing, which
-    is exactly the discipline of the kernel loop in
-    :func:`repro.sim.engine.run_policy_stream`.
+    A reader thread takes a free slot of a ring of ``RING_DEPTH`` reusable
+    ``int64`` buffers, pulls the next chunk from the source, and widens
+    it straight into that slot with one casting assignment, so chunk N+1
+    decodes while the consumer works on chunk N. At any time the ring
+    holds its two buffers and the reader at most one source chunk in the
+    source's own dtype. Each chunk is validated as
+    :func:`~repro.traces.base.as_page_array` validates a trace: a
+    non-integer, negative or multi-dimensional chunk raises
+    :class:`~repro.errors.TraceError` instead of being truncated into
+    the ring. Yielded arrays are **read-only views valid only until the
+    next iteration step** — the consumer must finish with (or copy) a
+    chunk before advancing, which is exactly the discipline of the
+    kernel loop in :func:`repro.sim.engine.run_policy_stream`.
 
     Exceptions in the reader propagate to the consumer; breaking out of
     the iteration early shuts the thread down cleanly.
     """
 
-    def __init__(self, source: "TraceStream | Iterator[np.ndarray]", *, depth: int = 2):
-        if depth <= 0:
-            raise ConfigurationError(f"depth must be positive, got {depth}")
+    def __init__(self, source: "TraceStream | Iterator[np.ndarray]"):
         self._source = source
-        self._depth = int(depth)
 
     def __iter__(self) -> Iterator[np.ndarray]:
         if isinstance(self._source, TraceStream):
             inner = self._source.chunks()
         else:
             inner = iter(self._source)
-        ready: queue.Queue = queue.Queue(maxsize=self._depth)
+        ready: queue.Queue = queue.Queue(maxsize=RING_DEPTH)
         free: queue.Queue = queue.Queue()
-        for _ in range(self._depth):
+        for _ in range(RING_DEPTH):
             free.put(None)  # buffer slots, allocated lazily on first use
         stop = threading.Event()
 
+        def fill(buf: np.ndarray | None) -> tuple[np.ndarray, int] | None:
+            """Widen the next source chunk into ``buf``; ``None`` at the end.
+            The chunk dies with this frame, before the reader waits again."""
+            block = next(inner, None)
+            if block is None:
+                return None
+            block = as_page_block(block)
+            if buf is None or buf.size < block.size:
+                buf = np.empty(max(block.size, 1), dtype=np.int64)
+            buf[: block.size] = block
+            return buf, block.size
+
         def produce() -> None:
             try:
-                for block in inner:
-                    buf = free.get()
+                while True:
+                    buf = free.get()  # a free slot first, then decode into it
                     if stop.is_set():
                         return
-                    block = np.ascontiguousarray(block, dtype=np.int64)
-                    if buf is None or buf.size < block.size:
-                        buf = np.empty(max(block.size, 1), dtype=np.int64)
-                    buf[: block.size] = block
-                    ready.put(("chunk", buf, block.size))
+                    filled = fill(buf)
+                    if filled is None:
+                        break
+                    ready.put(("chunk", *filled))
                     if stop.is_set():
                         return
                 ready.put(("end", None, 0))

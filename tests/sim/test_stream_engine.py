@@ -12,16 +12,21 @@ trace length — every boundary is a mid-run continuation.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import repro
-from repro.errors import ConfigurationError
+from repro.core.registry import make_policy
+from repro.errors import ConfigurationError, TraceError
 from repro.sim.engine import _prorated_split, compare_policies, run_policy, run_policy_stream
 from repro.sim.kernels import available_kernels
 from repro.sim.sweep import ParameterGrid, run_sweep
-from repro.traces.streaming import ArrayTraceStream, ZipfTraceStream
+from repro.traces.npt import NptTraceStream, NptWriter
+from repro.traces.streaming import ArrayTraceStream, TraceStream, ZipfTraceStream
 from tests.sim.test_kernels import _assert_same_state, _future_coins
+from tests.sim.test_tracelevel import knobs
 
 CAP = 256
 
@@ -78,6 +83,88 @@ def test_prefetch_off_matches_prefetch_on():
     b = run_policy_stream(KERNEL_POLICIES["HeatSinkLRU"](7), stream, prefetch=False)
     assert a["misses"] == b["misses"]
     assert a["chunks"] == b["chunks"]
+
+
+def test_non_integer_chunk_raises_the_same_error_with_prefetch_on_and_off():
+    class FloatStream(TraceStream):
+        def chunks(self):
+            yield np.arange(10, dtype=np.int64)
+            yield np.array([1.0, 1.5, 2.0])  # 1.5 must not replay as page 1
+
+    messages = []
+    for prefetch in (True, False):
+        with pytest.raises(TraceError, match="non-integer page ids") as info:
+            run_policy_stream(KERNEL_POLICIES["HeatSinkLRU"](0), FloatStream(), prefetch=prefetch)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def _mixed_dtype_npt(path):
+    """Four stored chunks, one per ``.npt`` dtype (u1, u2, u4, i8): a hot set
+    shared by every chunk plus pages just under each dtype's limit, so each
+    chunk boundary is a mid-run continuation across a dtype change."""
+    hot = np.arange(CAP // 2)
+    with NptWriter(path) as w:
+        for i, (top, size) in enumerate(zip((1 << 8, 1 << 16, 1 << 32, 1 << 40),
+                                            (701, 523, 997, 611))):
+            pool = np.concatenate([hot, top - 1 - np.arange(CAP // 4)])
+            block = pool[repro.zipf_trace(pool.size, size, alpha=0.9, seed=i).pages]
+            block[0] = top - 1
+            w.append(block)
+    return path
+
+
+@pytest.mark.parametrize("policy_name", sorted(KERNEL_POLICIES))
+def test_mixed_dtype_npt_streams_bit_identically(policy_name, tmp_path):
+    stream = NptTraceStream(_mixed_dtype_npt(tmp_path / "mixed.npt"))
+    assert [c.dtype.str for c in stream.chunks()] == ["|u1", "<u2", "<u4", "<i8"]
+    # shrunk knobs: every chunk goes through probe, scan and bail-out
+    with knobs(PROBE=64, MIN_TRACE=128, CHUNK=32):
+        p_mat = KERNEL_POLICIES[policy_name](3)
+        whole = p_mat.run(stream.materialize(), fast=True)
+        for prefetch in (True, False):
+            p_str = KERNEL_POLICIES[policy_name](3)
+            row = run_policy_stream(p_str, stream, fast=True, keep_hits=True, prefetch=prefetch)
+            np.testing.assert_array_equal(np.asarray(whole.hits), row["hits"])
+            _assert_same_state(p_mat, p_str)
+            np.testing.assert_array_equal(_future_coins(p_mat), _future_coins(p_str))
+
+
+def test_streaming_memory_per_chunk_is_two_ring_buffers_and_one_payload(tmp_path):
+    """Peak traced memory of a hot ``.npt`` replay, grown per access of
+    chunk: the prefetch ring's two ``int64`` buffers, one stored ``u2``
+    payload, and a few bytes of per-access flags. Taking the growth
+    between two chunk sizes cancels what does not scale with the chunk,
+    such as the policies' pre-drawn coin buffers."""
+    def peak(chunk: int) -> dict[str, int]:
+        path = tmp_path / f"hot-{chunk}.npt"
+        ranks = ZipfTraceStream(512, 3 * chunk, alpha=1.0, seed=3, shuffle_ranks=False,
+                                chunk=chunk)
+        page_of_rank = np.random.default_rng(0).permutation(512)
+        with NptWriter(path) as w:
+            for block in ranks.chunks():
+                w.append(page_of_rank[block])
+        stream = NptTraceStream(path)  # 512 pages: stored as u2
+        out = {}
+        tracemalloc.start()
+        try:
+            for name, kw in (("heatsink", {"sink_prob": 0.25}), ("2-lru", {}),
+                             ("2-random", {}), ("set-assoc", {"d": 8})):
+                policy = make_policy(name, 1024, seed=1, **kw)
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                run_policy_stream(policy, stream)
+                out[name] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return out
+
+    small, large = 1 << 17, 1 << 18  # >= MIN_TRACE: every chunk is probed and scanned
+    at_small, at_large = peak(small), peak(large)
+    budget = 2 * 8 + 2 + 4  # ring buffers + u2 payload + flags, bytes per access
+    for name in at_small:
+        per_access = (at_large[name] - at_small[name]) / (large - small)
+        assert per_access <= budget, (name, per_access)
 
 
 def test_reference_loop_stream_matches_kernel_stream():

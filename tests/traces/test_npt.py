@@ -66,6 +66,21 @@ class TestRoundTrip:
         s = NptTraceStream(tmp_path / "m.npt")
         assert _stream_pages(s).tolist() == [1, 2, 3, 1 << 20]
 
+    def test_chunks_are_readonly_views_in_the_stored_dtype(self, tmp_path):
+        with NptWriter(tmp_path / "d.npt") as w:
+            for top in (200, 1 << 9, 1 << 17, 1 << 33):
+                w.append(np.array([0, top - 1], dtype=np.int64))
+        blocks = list(NptTraceStream(tmp_path / "d.npt").chunks())
+        assert [b.dtype.str for b in blocks] == ["|u1", "<u2", "<u4", "<i8"]
+        assert all(not b.flags.writeable for b in blocks)
+        assert [int(b[-1]) for b in blocks] == [199, 511, (1 << 17) - 1, (1 << 33) - 1]
+        trace = read_npt(tmp_path / "d.npt")
+        assert trace.pages.dtype == np.int64
+        assert trace.pages.tolist() == [v for b in blocks for v in b.tolist()]
+        # rechunking across stored chunks promotes to the wider dtype
+        rechunked = NptTraceStream(tmp_path / "d.npt", chunk=3)
+        assert _stream_pages(rechunked).tolist() == trace.pages.tolist()
+
 
 class TestWriter:
     def test_append_after_close(self, tmp_path):
@@ -180,6 +195,26 @@ class TestCorruptionDetection:
             + struct.pack("<Q8s", len(footer), b"TPNORPER")
         )
         with pytest.raises(TraceFormatError, match="unknown dtype"):
+            NptTraceStream(path)
+
+    @pytest.mark.parametrize(
+        "footer, message",
+        [
+            ({"version": 1, "chunks": 5}, "'chunks' is not a list"),
+            ({"version": 1, "chunks": None}, "'chunks' is not a list"),
+            ({"version": 1, "chunks": {"offset": 9}}, "'chunks' is not a list"),
+            ({"version": 1, "chunks": [], "params": 5}, "'params' is not an object"),
+            ({"version": 1, "chunks": [], "params": "ab"}, "'params' is not an object"),
+            ({"version": 1, "chunks": [], "params": [[1, 2]]}, "'params' is not an object"),
+        ],
+    )
+    def test_malformed_footer_fields(self, tmp_path, footer, message):
+        path = tmp_path / "fields.npt"
+        raw = json.dumps(footer).encode()
+        path.write_bytes(
+            MAGIC + bytes([1]) + raw + struct.pack("<Q8s", len(raw), b"TPNORPER")
+        )
+        with pytest.raises(TraceFormatError, match=message):
             NptTraceStream(path)
 
 

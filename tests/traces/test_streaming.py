@@ -243,9 +243,32 @@ class TestPrefetcher:
         out = [b.copy() for b in Prefetcher(iter(blocks))]
         assert [o.tolist() for o in out] == [[0, 1, 2], [0, 1, 2, 3, 4]]
 
-    def test_bad_depth(self):
-        with pytest.raises(ConfigurationError):
-            Prefetcher(ArrayTraceStream([1]), depth=0)
+    def test_narrow_chunks_widen_into_the_ring(self):
+        blocks = [
+            np.array([1, 2, 255], dtype=np.uint8),
+            np.array([300, 65_535], dtype=np.uint16),
+            np.array([1 << 31], dtype=np.uint32),
+            np.array([1 << 40, 7], dtype=np.int64),
+        ]
+        out = [b.copy() for b in Prefetcher(iter(blocks))]
+        assert all(o.dtype == np.int64 for o in out)
+        assert [o.tolist() for o in out] == [b.tolist() for b in blocks]
+
+    def test_integral_floats_accepted_as_as_page_array_does(self):
+        out = [b.copy() for b in Prefetcher(iter([np.array([1.0, 4.0])]))]
+        assert out[0].dtype == np.int64 and out[0].tolist() == [1, 4]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([1.0, 1.5]), "non-integer"),
+            (np.array([3, -1]), "negative"),
+            (np.zeros((2, 2), dtype=np.int64), "one-dimensional"),
+        ],
+    )
+    def test_invalid_chunk_raises_trace_error(self, bad, message):
+        with pytest.raises(TraceError, match=message):
+            list(Prefetcher(iter([np.arange(3), bad])))
 
 
 class TestCoercionAndOpen:
