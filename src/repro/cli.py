@@ -22,7 +22,9 @@ Experiment runs print their rows as markdown tables and can persist CSV;
 ``simulate`` and ``mrc`` make the library usable as a one-shot trace
 analysis tool on saved ``.npz`` traces (see ``repro.save_trace``);
 ``serve``/``loadgen`` put a policy behind live TCP traffic (see
-``docs/service.md``).
+``docs/service.md``). A typed library error (:class:`~repro.errors.ReproError`:
+an unknown policy, a malformed trace, ...) prints one ``error: ...`` line
+on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.errors import ReproError
 from repro.experiments.registry import available_experiments, run_experiment
 
 __all__ = ["main", "build_parser"]
@@ -671,9 +674,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     import signal
 
     from repro.cluster.supervisor import ClusterSupervisor
+    from repro.core.registry import policy_signature
     from repro.service.loop import install_best_event_loop
     from repro.service.protocol import FRAMES
 
+    # an unknown name fails here, not in each spawned worker
+    policy_signature(args.policy)
     frames = FRAMES if args.frame == "auto" else (args.frame,)
 
     async def _log_stats(supervisor: "ClusterSupervisor", interval: float) -> None:
@@ -967,26 +973,29 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ReproError as exc:
+        # a typed library error (unknown policy, malformed trace, no
+        # eligible kernel, ...): one line for the user, not a traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         for exp_id in available_experiments():
             print(exp_id)
         return 0
-    if args.command in ("run", "run-all", "simulate"):
-        from repro.errors import KernelUnavailable
-
-        try:
-            if args.command == "run":
-                _run_one(args.experiment, args)
-                return 0
-            if args.command == "run-all":
-                for exp_id in available_experiments():
-                    _run_one(exp_id, args)
-                return 0
-            return _cmd_simulate(args)
-        except KernelUnavailable as exc:
-            # --fast on with a kernel-less policy: say which one, cleanly
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    if args.command == "run":
+        _run_one(args.experiment, args)
+        return 0
+    if args.command == "run-all":
+        for exp_id in available_experiments():
+            _run_one(exp_id, args)
+        return 0
+    if args.command == "simulate":
+        return _cmd_simulate(args)
     if args.command == "convert":
         return _cmd_convert(args)
     if args.command == "mrc":

@@ -3,8 +3,9 @@
 Every experiment supports three *scales*:
 
 - ``smoke`` — seconds; used by the test suite to assert directional claims;
-- ``small`` — tens of seconds; the default for benches and the CLI;
-- ``full``  — minutes; the configuration EXPERIMENTS.md records.
+- ``small`` — tens of seconds; the default for benches and the CLI, and
+  the configuration EXPERIMENTS.md records;
+- ``full``  — minutes; larger sizes, longer traces and wider parameter grids.
 
 Scale tables are plain dicts so modules stay declarative about what each
 scale means.

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-from repro.errors import ExperimentError
 
 
 class TestParser:
@@ -54,9 +53,9 @@ class TestMain:
         assert len(files) == 1
         assert files[0].name == "l6-components_smoke.csv"
 
-    def test_unknown_experiment(self):
-        with pytest.raises(ExperimentError):
-            main(["run", "NOT-AN-EXPERIMENT", "--scale", "smoke"])
+    def test_unknown_experiment(self, capsys):
+        assert main(["run", "NOT-AN-EXPERIMENT", "--scale", "smoke"]) == 2
+        assert "NOT-AN-EXPERIMENT" in _error_line(capsys)
 
     def test_characterize_command(self, tmp_path, capsys):
         import repro
@@ -67,6 +66,36 @@ class TestMain:
         out = capsys.readouterr().out
         assert "zipf_alpha_hat" in out
         assert "footprint" in out
+
+
+def _error_line(capsys) -> str:
+    """The one ``error: ...`` line a typed error leaves on stderr."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+class TestTypedErrors:
+    """A ReproError reaches the user as one stderr line and exit code 2."""
+
+    def test_unknown_policy(self, capsys):
+        argv = ["simulate", "--zipf", "100,1000", "--policy", "no-such-policy",
+                "--capacity", "16"]
+        assert main(argv) == 2
+        assert "unknown policy 'no-such-policy'" in _error_line(capsys)
+
+    def test_malformed_msr_row(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "128166372003061629,hm,0,Read,4096,512,100\n"
+            "128166372003061630,hm,0,Read,abc,512,100\n"
+        )
+        argv = ["simulate", "--trace-file", str(path), "--policy", "lru", "--capacity", "16"]
+        assert main(argv) == 2
+        line = _error_line(capsys)
+        assert "line 2" in line and "'abc'" in line
 
 
 class TestServiceCommands:
