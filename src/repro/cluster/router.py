@@ -8,13 +8,17 @@ that owns the key on the consistent-hash ring
 (:class:`~repro.cluster.ring.HashRing`), over persistent pipelined
 binary links (:class:`~repro.cluster.link.WorkerChannel`).
 
-Design points, mirroring (and reusing) the single-process server:
+The listener, connection admission, the frame pump, ordered response
+flushing and the framing/``HELLO`` rules are the connection front end
+shared with the single-process server
+(:class:`~repro.service.frontend.FrontEnd`); this class supplies the
+per-request dispatch. Design points:
 
-- **Per-connection order is preserved end to end.** Each client
-  connection has a pump task (byte stream → frames, the same
-  ``FrameSplitter`` machinery), a dispatch loop that *sends upstream in
-  frame order*, and a flush task that writes responses back in that same
-  order. Forwarded requests pipeline: the dispatch loop does not wait
+- **Per-connection order is preserved end to end.** The front end's
+  dispatch loop calls :meth:`RouterServer._dispatch` in frame order, which
+  *sends upstream at once* and returns a coroutine; the front end's
+  flusher awaits those coroutines and writes the responses back in the
+  same order. Forwarded requests pipeline: the dispatch loop does not wait
   for worker responses, the flusher does. Because a client connection is
   pinned to one link per worker, each worker sees that connection's ops
   in order — which is what keeps a one-connection replay through the
@@ -27,7 +31,7 @@ Design points, mirroring (and reusing) the single-process server:
   whose keys all land on one worker is forwarded as-is.
 - **Backpressure propagates.** Bounded frame and response queues per
   client connection, a bounded in-flight window per worker link: a slow
-  worker stalls the flusher, the queues fill, the pump stops reading,
+  worker stalls the flusher, the queues fill, the reader stops reading,
   TCP pushes back on the client.
 - **Failure isolation + retry accounting.** A worker timeout or link
   failure fails only the requests riding that link; idempotent ops
@@ -55,7 +59,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import time
-from typing import Any, AsyncIterator, Coroutine, Sequence
+from typing import Any, Awaitable, Coroutine, Sequence
 
 from repro.errors import ConfigurationError, ProtocolError, ServiceError, ServiceTimeout
 from repro.cluster.link import (
@@ -69,34 +73,27 @@ from repro.hashing import splitmix64
 from repro.obs import tracing
 from repro.obs.metrics import MetricsRegistry
 from repro.service.framing import Frame
-from repro.service.metrics import LatencyHistogram, PER_OP_LATENCY, RecentWindow
+from repro.service.frontend import (
+    DEFAULT_MAX_INFLIGHT,
+    DEFAULT_WRITE_TIMEOUT,
+    FrontEnd,
+    Slot,
+    encode_payload,
+)
+from repro.service.metrics import ConnectionMetrics
 from repro.service.protocol import (
     BINARY_TAG,
-    CODE_OVERFLOW,
     CODE_REJECTED,
     CODE_UPSTREAM,
-    FEATURES,
-    FRAME_BINARY,
-    FRAME_NDJSON,
     FRAMES,
     IDEMPOTENT_OPS,
-    MAX_LINE_BYTES,
     Request,
-    decode_request,
     decode_response,
     encode_frame,
     encode_response,
     encode_traced_frame,
-    error_payload,
-    overload_payload,
     wrap_traced_body,
-)
-from repro.service.server import (
-    _EOF as _EOF_FRAME,
-    _OVERFLOW as _OVERFLOW_FRAME,
-    CacheServer,
-    DEFAULT_MAX_INFLIGHT,
-    DEFAULT_WRITE_TIMEOUT,
+    error_payload,
 )
 
 __all__ = ["RouterMetrics", "RouterServer", "running_router"]
@@ -104,10 +101,7 @@ __all__ = ["RouterMetrics", "RouterServer", "running_router"]
 #: Single-key data ops the router forwards to exactly one worker.
 _SINGLE_KEY_OPS = frozenset({"GET", "PUT", "DEL", "PEEK"})
 
-#: Queue sentinel closing a connection's response stream.
-_EOF = object()
-
-#: Sweep batch: keys migrated per lock acquisition during a reshard.
+#: Route-cache entries kept before the cache is cleared.
 _ROUTE_CACHE_MAX = 1 << 16
 
 
@@ -123,57 +117,35 @@ def _frame_body(body: bytes, binary: bool) -> bytes:
     return body + b"\n"
 
 
-def _to_binary_frame(frame: Frame) -> bytes:
-    """Re-frame a client frame for the binary-only upstream links."""
-    if frame.binary:
-        return frame.raw
-    body = frame.payload.rstrip(b"\r\n")
-    return BINARY_TAG.to_bytes(1, "big") + len(body).to_bytes(4, "big") + body
-
-
 def _upstream_frame(frame: Frame, ctx: str | None) -> bytes:
     """The upstream bytes for a forwarded frame, splicing ``ctx`` if tracing.
 
-    With a context, the body bytes are still forwarded verbatim — only
-    the traced-frame header around them changes, so the worker's spans
-    parent to the router's link span instead of the client's root.
+    Links speak binary framing only. The body bytes are always forwarded
+    verbatim; with a context only the traced-frame header around them
+    changes, so the worker's spans parent to the router's link span
+    instead of the client's root.
     """
-    if ctx is None:
-        return _to_binary_frame(frame)
+    if frame.binary and ctx is None:
+        return frame.raw
     body = frame.payload if frame.binary else frame.payload.rstrip(b"\r\n")
-    return wrap_traced_body(body, ctx)
+    return _frame_body(body, True) if ctx is None else wrap_traced_body(body, ctx)
 
 
-class RouterMetrics:
+class RouterMetrics(ConnectionMetrics):
     """Router-side counters; worker counters live in the workers."""
 
     def __init__(self) -> None:
-        self.started = time.monotonic()
-        self.requests = 0  # client frames dispatched
+        super().__init__()
+        self.requests = 0  # requests handed to the router's dispatch
         self.forwarded = 0  # single-worker forwards (single-key + whole batches)
         self.fanouts = 0  # multi-worker batch/admin fan-outs
         self.local = 0  # answered without touching a worker
         self.migration_ops = 0  # data ops served through the double-read path
-        self.errors = 0  # error responses the router produced
-        self.rejected = 0
-        self.write_timeouts = 0
-        self.connections_opened = 0
-        self.connections_closed = 0
         self.upstream_retries = 0
         self.upstream_timeouts = 0
         self.upstream_errors = 0
         self.migrated_keys = 0
         self.reshards = 0
-        self.latency = LatencyHistogram()
-        self.latency_by_op = {op: LatencyHistogram() for op in PER_OP_LATENCY}
-        self.recent = RecentWindow()
-
-    def record_op(self, op: str | None, seconds: float) -> None:
-        self.latency.record(seconds)
-        self.recent.record(seconds)
-        per_op = self.latency_by_op.get(op) if op is not None else None
-        if per_op is not None:
-            per_op.record(seconds)
 
 
 class _Migration:
@@ -189,16 +161,7 @@ class _Migration:
         self.done = asyncio.Event()
 
 
-class _ConnState:
-    """Flags shared between one connection's dispatch loop and flusher."""
-
-    __slots__ = ("broken",)
-
-    def __init__(self) -> None:
-        self.broken = False
-
-
-class RouterServer:
+class RouterServer(FrontEnd):
     """Route cache traffic across worker processes; see module docs.
 
     Parameters
@@ -217,8 +180,11 @@ class RouterServer:
         request is replayed after a link failure before answering
         ``upstream-error``.
     max_connections / max_inflight / write_timeout / frames:
-        Client-side knobs with :class:`CacheServer` semantics.
+        Client-side knobs with :class:`~repro.service.server.CacheServer`
+        semantics.
     """
+
+    span_name = "router"
 
     def __init__(
         self,
@@ -241,29 +207,21 @@ class RouterServer:
             raise ConfigurationError("RouterServer needs at least one worker")
         if upstream_retries < 0:
             raise ConfigurationError(f"upstream_retries must be >= 0, got {upstream_retries}")
-        if max_connections is not None and max_connections < 1:
-            raise ConfigurationError(
-                f"max_connections must be >= 1 or None, got {max_connections}"
-            )
-        if max_inflight < 1:
-            raise ConfigurationError(f"max_inflight must be >= 1, got {max_inflight}")
-        if not frames or any(f not in FRAMES for f in frames):
-            raise ConfigurationError(
-                f"frames must be a non-empty subset of {list(FRAMES)}, got {frames!r}"
-            )
+        super().__init__(
+            host=host,
+            port=port,
+            max_connections=max_connections,
+            max_inflight=max_inflight,
+            write_timeout=write_timeout,
+            frames=frames,
+        )
         names = [node for node, _, _ in workers]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate worker node names: {names}")
-        self.host = host
-        self.port = port
         self.pool = pool
         self.upstream_timeout = upstream_timeout
         self.upstream_retries = upstream_retries
         self.max_pending = max_pending
-        self.max_connections = max_connections
-        self.max_inflight = max_inflight
-        self.write_timeout = write_timeout
-        self.frames = tuple(frames)
         self.ring = ring if ring is not None else HashRing(names, vnodes=vnodes)
         if self.ring.nodes != set(names):
             raise ConfigurationError(
@@ -274,9 +232,6 @@ class RouterServer:
         self._channels: dict[str, WorkerChannel] = {
             node: self._make_channel(node, whost, wport) for node, whost, wport in workers
         }
-        self._server: asyncio.Server | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._conn_counter = 0
         self._route_cache: dict[int, str] = {}
         self._migration: _Migration | None = None
         self._admin_lock = asyncio.Lock()
@@ -294,30 +249,13 @@ class RouterServer:
         )
 
     # -- lifecycle -----------------------------------------------------------
-    async def start(self) -> None:
-        if self._server is not None:
-            raise ServiceError("router is already running")
-        try:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
-            )
-        except OSError as exc:
-            raise ServiceError(f"cannot bind {self.host}:{self.port}: {exc}") from exc
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            raise ServiceError("call start() before serve_forever()")
-        with contextlib.suppress(asyncio.CancelledError):
-            await self._server.serve_forever()
-
     async def stop(self, *, drain: float | None = None) -> None:
         """Stop accepting; optionally drain in-flight connections first.
 
         ``drain`` waits up to that many seconds for open client
         connections to finish naturally (idle clients are cut at the
-        deadline); ``None`` cancels them immediately, like
-        :meth:`CacheServer.stop`.
+        deadline); ``None`` cancels them immediately, as the shared
+        :meth:`~repro.service.frontend.Listener.stop` does.
         """
         if self._server is None:
             return
@@ -334,17 +272,9 @@ class RouterServer:
             migration.task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await migration.task
-        for task in tuple(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        await super().stop()
         for channel in self._channels.values():
             await channel.close()
-        self._server = None
-
-    @property
-    def is_serving(self) -> bool:
-        return self._server is not None
 
     @property
     def workers(self) -> list[str]:
@@ -354,249 +284,45 @@ class RouterServer:
     def migrating(self) -> bool:
         return self._migration is not None
 
-    # -- connection handling -------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._conn_tasks.add(task)
-        conn_index = self._conn_counter
-        self._conn_counter += 1
-        self.metrics.connections_opened += 1
-        try:
-            if self.max_connections is not None and len(self._conn_tasks) > self.max_connections:
-                self.metrics.rejected += 1
-                writer.write(encode_response(overload_payload()))
-                await self._drain(writer)
-            else:
-                await self._serve_connection(reader, writer, conn_index)
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            self.metrics.connections_closed += 1
-            self._conn_tasks.discard(task)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+    # -- dispatch (the shared front end calls this in frame order) ----------
+    async def _dispatch(
+        self, frame: Frame, request: Request, conn_index: int, span: tracing.Span | None
+    ) -> Slot:
+        """Start one request's work; return its response slot.
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, conn_index: int
-    ) -> None:
-        frames: asyncio.Queue[Any] = asyncio.Queue(maxsize=self.max_inflight)
-        responses: asyncio.Queue[Any] = asyncio.Queue(maxsize=self.max_inflight)
-        state = _ConnState()
-        pump = asyncio.create_task(CacheServer._pump_requests(reader, frames))
-        flusher = asyncio.create_task(self._flush_responses(writer, responses, state))
-        try:
-            while True:
-                item = await frames.get()
-                if item is _EOF_FRAME:
-                    break
-                if state.broken:
-                    break
-                await self._dispatch_frame(item, conn_index, responses)
-        finally:
-            pump.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await pump
-            # let the flusher finish everything already queued, then stop it
-            put_eof = asyncio.create_task(responses.put(_EOF))
-            done, _ = await asyncio.wait(
-                {put_eof, flusher}, return_when=asyncio.FIRST_COMPLETED
-            )
-            if put_eof not in done:
-                put_eof.cancel()  # flusher died first; nobody will drain the queue
-            with contextlib.suppress(asyncio.CancelledError):
-                await flusher
-            self._discard_queued(responses)
-
-    async def _dispatch_frame(
-        self, frame: Any, conn_index: int, responses: asyncio.Queue
-    ) -> None:
-        """Decode one client frame, start its work, enqueue its response slot.
-
-        A slot is either final framed bytes or a coroutine the flusher
-        awaits — forwarded requests are *sent here* (in frame order) but
-        settled in the flusher, which is what pipelines the upstream.
+        Forwarded requests are *sent here* (in frame order) but settled
+        by the front end's flusher, which awaits the returned coroutine —
+        that is what pipelines the upstream links.
         """
-        loop = asyncio.get_running_loop()
-        start = loop.time()
         metrics = self.metrics
-        if frame is _OVERFLOW_FRAME:
-            metrics.errors += 1
-            await self._enqueue(
-                responses,
-                start,
-                None,
-                encode_response(error_payload("frame too long", code=CODE_OVERFLOW)),
-                None,
-            )
-            return
         metrics.requests += 1
-        binary = frame.binary
-        try:
-            request = decode_request(frame.payload)
-        except ProtocolError as exc:
-            metrics.errors += 1
-            await self._enqueue(
-                responses, start, None, _frame_body(_json_body(error_payload(str(exc))), binary), None
-            )
-            return
         op = request.op
-        # The router never roots traces — it joins the client's (header
-        # context wins over the body field, matching the worker's rule).
-        rspan = (
-            tracing.start_remote(
-                frame.trace or request.trace, "router.request", op=op, activate=False
-            )
-            if tracing.ENABLED
-            else None
-        )
-        arrived = FRAME_BINARY if binary else FRAME_NDJSON
-        if arrived not in self.frames and op != "HELLO":
-            metrics.errors += 1
-            payload = error_payload(f"{arrived} framing not accepted here; negotiate via HELLO")
-            await self._enqueue(
-                responses, start, op, _frame_body(_json_body(payload), binary), rspan
-            )
-            return
-
-        slot: bytes | Coroutine[Any, Any, bytes]
+        binary = frame.binary
         if op in _SINGLE_KEY_OPS:
             assert request.key is not None
             if self._migration is not None:
                 metrics.migration_ops += 1
-                slot = self._finish_migrating_single(request, binary)
-            else:
-                slot = await self._forward_single(request, frame, conn_index, binary, rspan)
-        elif op in ("MGET", "MPUT"):
+                return self._finish(self._migrating_single(request), binary)
+            return await self._forward(
+                frame, self._owner_of(request.key), conn_index, op in IDEMPOTENT_OPS, span
+            )
+        if op in ("MGET", "MPUT"):
             assert request.keys is not None
             if self._migration is not None:
                 metrics.migration_ops += 1
-                slot = self._finish_migrating_batch(request, binary)
-            else:
-                slot = await self._forward_batch(request, frame, conn_index, binary, rspan)
-        elif op == "PING":
+                return self._finish(self._migrating_batch(request), binary)
+            return await self._forward_batch(request, frame, conn_index, span)
+        if op == "PING":
             metrics.local += 1
-            slot = _frame_body(_json_body({"ok": True, "pong": True}), binary)
-        elif op == "HELLO":
-            metrics.local += 1
-            requested = request.frame or FRAME_NDJSON
-            if requested not in self.frames:
-                payload = error_payload(
-                    f"{requested} framing not accepted here; "
-                    f"router accepts {list(self.frames)}"
-                )
-            else:
-                payload = {
-                    "ok": True,
-                    "frame": requested,
-                    "frames": list(self.frames),
-                    "features": list(FEATURES),
-                }
-            slot = _frame_body(_json_body(payload), binary)
-        elif op == "STATS":
-            slot = self._finish_stats(binary)
-        elif op == "METRICS":
-            slot = self._finish_metrics(binary)
-        elif op == "KEYS":
-            slot = self._finish_keys(binary)
-        else:
-            assert op == "RESHARD"
-            slot = self._finish_reshard(request, binary)
-        await self._enqueue(responses, start, op, slot, rspan)
-
-    @staticmethod
-    async def _enqueue(
-        responses: asyncio.Queue,
-        start: float,
-        op: str | None,
-        slot: Any,
-        rspan: Any,
-    ) -> None:
-        """Queue a response slot, opening its ``router.queue`` wait span.
-
-        The queue span is opened here (enqueue time) and ended by the
-        flusher when it pops the item, so head-of-line blocking behind
-        earlier in-flight responses shows up as its own tree node.
-        """
-        qspan = rspan.start_child("router.queue") if rspan is not None else None
-        await responses.put((start, op, slot, rspan, qspan))
-
-    async def _flush_responses(
-        self, writer: asyncio.StreamWriter, responses: asyncio.Queue, state: _ConnState
-    ) -> None:
-        """Settle + write response slots in request order.
-
-        After a write failure the flusher keeps consuming (and settling)
-        slots without writing, so the dispatch loop can never deadlock on
-        a full queue; it just notices ``state.broken`` and stops.
-        """
-        loop = asyncio.get_running_loop()
-        metrics = self.metrics
-        while True:
-            item = await responses.get()
-            if item is _EOF:
-                return
-            start, op, slot, rspan, qspan = item
-            if qspan is not None:
-                qspan.end()
-            if isinstance(slot, (bytes, bytearray)):
-                data = slot
-            else:
-                try:
-                    data = await slot
-                except Exception:
-                    # backstop: a finisher bug must drop this connection,
-                    # never wedge it (the dispatch loop would block on a
-                    # full queue while the client waits forever)
-                    self.metrics.errors += 1
-                    if rspan is not None:
-                        rspan.end(error=True)
-                    state.broken = True
-                    return
-            if state.broken:
-                if rspan is not None:
-                    rspan.end(aborted=True)
-                continue
-            writer.write(data)
-            ok = await self._drain(writer)
-            if rspan is not None:
-                rspan.end()
-            if not ok:
-                state.broken = True
-                continue
-            metrics.record_op(op, loop.time() - start)
-
-    async def _drain(self, writer: asyncio.StreamWriter) -> bool:
-        try:
-            if self.write_timeout is None:
-                await writer.drain()
-            else:
-                await asyncio.wait_for(writer.drain(), self.write_timeout)
-        except asyncio.TimeoutError:
-            self.metrics.write_timeouts += 1
-            return False
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            return False
-        return True
-
-    @staticmethod
-    def _discard_queued(responses: asyncio.Queue) -> None:
-        """Close never-awaited slot coroutines on connection teardown."""
-        while True:
-            try:
-                item = responses.get_nowait()
-            except asyncio.QueueEmpty:
-                return
-            if isinstance(item, tuple):
-                slot = item[2]
-                if not isinstance(slot, (bytes, bytearray)) and slot is not None:
-                    slot.close()
-                for sp in item[4:2:-1]:  # qspan, then its parent rspan
-                    if sp is not None:
-                        sp.end(aborted=True)
+            return encode_payload({"ok": True, "pong": True}, binary)
+        if op == "STATS":
+            return self._finish(self._stats_answer(), binary)
+        if op == "METRICS":
+            return self._finish(self._metrics_answer(), binary)
+        if op == "KEYS":
+            return self._finish(self._keys_answer(), binary)
+        assert op == "RESHARD"
+        return self._finish(self._reshard_answer(request), binary, CODE_REJECTED)
 
     # -- routing -------------------------------------------------------------
     def _owner_of(self, key: int) -> str:
@@ -612,26 +338,28 @@ class RouterServer:
     def _key_lock(self, key: int) -> asyncio.Lock:
         return self._key_locks[int(splitmix64(key)) & 0xFF]
 
-    async def _forward_single(
-        self, request: Request, frame: Frame, conn_index: int, binary: bool, rspan: Any = None
-    ) -> Coroutine[Any, Any, bytes] | bytes:
-        """Send a single-key op to its owner now; return the settle slot."""
-        assert request.key is not None
-        link = self._channels[self._owner_of(request.key)].link_for(conn_index)
-        lspan = rspan.start_child("router.link", node=link.node) if rspan is not None else None
-        upstream = _upstream_frame(frame, lspan.ctx if lspan is not None else None)
-        retryable = request.op in IDEMPOTENT_OPS
-        self.metrics.forwarded += 1
+    async def _send(self, link: WorkerLink, upstream: bytes) -> asyncio.Future | None:
+        """Send upstream now; ``None`` when the send itself failed."""
         try:
-            future = await link.send(upstream)
+            return await link.send(upstream)
         except ServiceError:
             self.metrics.upstream_errors += 1
-            return self._finish_resend(link, upstream, retryable, binary, lspan)
-        return self._finish_forward(link, future, upstream, retryable, binary, lspan)
+            return None  # the finisher will retry or fail it
+
+    async def _forward(
+        self, frame: Frame, node: str, conn_index: int, retryable: bool, rspan: Any
+    ) -> Coroutine[Any, Any, bytes]:
+        """Send a whole client frame to ``node`` now; return the settle slot."""
+        link = self._channels[node].link_for(conn_index)
+        lspan = rspan.start_child("router.link", node=link.node) if rspan is not None else None
+        upstream = _upstream_frame(frame, lspan.ctx if lspan is not None else None)
+        self.metrics.forwarded += 1
+        future = await self._send(link, upstream)
+        return self._finish_forward(link, future, upstream, retryable, frame.binary, lspan)
 
     async def _forward_batch(
-        self, request: Request, frame: Frame, conn_index: int, binary: bool, rspan: Any = None
-    ) -> Coroutine[Any, Any, bytes] | bytes:
+        self, request: Request, frame: Frame, conn_index: int, rspan: Any
+    ) -> Coroutine[Any, Any, bytes]:
         """Split an MGET/MPUT by owner; send sub-batches now, merge later."""
         assert request.keys is not None
         keys = request.keys
@@ -642,18 +370,7 @@ class RouterServer:
         if len(groups) == 1:
             # one owner: the worker's response is exactly the client's
             (node,) = groups
-            link = self._channels[node].link_for(conn_index)
-            lspan = (
-                rspan.start_child("router.link", node=link.node) if rspan is not None else None
-            )
-            upstream = _upstream_frame(frame, lspan.ctx if lspan is not None else None)
-            self.metrics.forwarded += 1
-            try:
-                future = await link.send(upstream)
-            except ServiceError:
-                self.metrics.upstream_errors += 1
-                return self._finish_resend(link, upstream, retryable, binary, lspan)
-            return self._finish_forward(link, future, upstream, retryable, binary, lspan)
+            return await self._forward(frame, node, conn_index, retryable, rspan)
         self.metrics.fanouts += 1
         parts: list[tuple[WorkerLink, asyncio.Future | None, bytes, list[int], Any]] = []
         for node, positions in groups.items():
@@ -674,23 +391,19 @@ class RouterServer:
                 sub_frame = encode_traced_frame(sub_payload, lspan.ctx)
             else:
                 sub_frame = encode_frame(sub_payload)
-            try:
-                future: asyncio.Future | None = await link.send(sub_frame)
-            except ServiceError:
-                self.metrics.upstream_errors += 1
-                future = None  # the finisher will retry or fail this part
+            future = await self._send(link, sub_frame)
             parts.append((link, future, sub_frame, positions, lspan))
-        return self._finish_batch(request.op, parts, len(keys), retryable, binary)
+        return self._finish_batch(request.op, parts, len(keys), retryable, frame.binary)
 
     # -- response finishers (run inside the flusher, in request order) -------
     async def _finish_forward(
         self,
         link: WorkerLink,
-        future: asyncio.Future,
+        future: asyncio.Future | None,
         upstream: bytes,
         retryable: bool,
         binary: bool,
-        lspan: Any = None,
+        lspan: Any,
     ) -> bytes:
         try:
             body = await self._settle_or_retry(link, future, upstream, retryable)
@@ -699,25 +412,11 @@ class RouterServer:
                 lspan.end()
         return _frame_body(body, binary)
 
-    async def _finish_resend(
-        self,
-        link: WorkerLink,
-        upstream: bytes,
-        retryable: bool,
-        binary: bool,
-        lspan: Any = None,
-    ) -> bytes:
-        """The send itself failed (e.g. worker down): retry path only."""
-        try:
-            body = await self._retry_body(link, upstream, retryable, "link unavailable")
-        finally:
-            if lspan is not None:
-                lspan.end()
-        return _frame_body(body, binary)
-
     async def _settle_or_retry(
-        self, link: WorkerLink, future: asyncio.Future, upstream: bytes, retryable: bool
+        self, link: WorkerLink, future: asyncio.Future | None, upstream: bytes, retryable: bool
     ) -> bytes:
+        if future is None:  # the send itself failed (e.g. worker down)
+            return await self._retry_body(link, upstream, retryable, "link unavailable")
         try:
             return await link.settle(future)
         except ServiceTimeout:
@@ -754,74 +453,54 @@ class RouterServer:
         retryable: bool,
         binary: bool,
     ) -> bytes:
-        try:
-            return await self._finish_batch_inner(op, parts, total, retryable, binary)
-        finally:
-            # early-error returns above leave later parts unsettled in span
-            # terms only (FIFO links still deliver); close their link spans
-            for part in parts:
-                if part[4] is not None:
-                    part[4].end()
-
-    async def _finish_batch_inner(
-        self,
-        op: str,
-        parts: list[tuple[WorkerLink, asyncio.Future | None, bytes, list[int], Any]],
-        total: int,
-        retryable: bool,
-        binary: bool,
-    ) -> bytes:
         hits: list[Any] = [False] * total
         values: list[Any] = [None] * total
-        for index, (link, future, upstream, positions, lspan) in enumerate(parts):
-            if future is None:
-                body = await self._retry_body(link, upstream, retryable, "link unavailable")
-            else:
+        settled = 0
+        try:
+            for link, future, upstream, positions, lspan in parts:
                 body = await self._settle_or_retry(link, future, upstream, retryable)
-            if lspan is not None:
-                lspan.end()
-                parts[index] = (link, future, upstream, positions, None)
-            try:
-                payload = decode_response(body)
-            except ProtocolError as exc:
-                # a garbled-but-well-framed body (FIFO alignment is intact,
-                # so the link survives); fail the frame, not the connection
-                self.metrics.upstream_errors += 1
-                self.metrics.errors += 1
-                return _frame_body(
-                    _json_body(
-                        error_payload(
-                            f"worker {link.node} answered an unparseable body: {exc}",
-                            code=CODE_UPSTREAM,
-                        )
-                    ),
-                    binary,
-                )
-            if not payload.get("ok"):
-                # one failed sub-batch fails the whole frame (the client's
-                # batch_responses explodes it into per-key errors)
-                return _frame_body(_json_body(payload), binary)
-            part_hits = payload.get("hits") or []
-            part_values = payload.get("values") or [None] * len(positions)
-            if len(part_hits) != len(positions):
-                self.metrics.errors += 1
-                return _frame_body(
-                    _json_body(
-                        error_payload(
-                            f"worker {link.node} answered {len(part_hits)} hits "
-                            f"for {len(positions)} keys",
-                            code=CODE_UPSTREAM,
-                        )
-                    ),
-                    binary,
-                )
-            for position, hit, value in zip(positions, part_hits, part_values):
-                hits[position] = hit
-                values[position] = value
+                settled += 1
+                if lspan is not None:
+                    lspan.end()
+                try:
+                    payload = decode_response(body)
+                except ProtocolError as exc:
+                    # a garbled-but-well-framed body (FIFO alignment is
+                    # intact, so the link survives); fail the frame only
+                    self.metrics.upstream_errors += 1
+                    return self._error_answer(
+                        f"worker {link.node} answered an unparseable body: {exc}", binary
+                    )
+                if not payload.get("ok"):
+                    # one failed sub-batch fails the whole frame (the client's
+                    # batch_responses explodes it into per-key errors)
+                    return encode_payload(payload, binary)
+                part_hits = payload.get("hits") or []
+                part_values = payload.get("values") or [None] * len(positions)
+                if len(part_hits) != len(positions):
+                    return self._error_answer(
+                        f"worker {link.node} answered {len(part_hits)} hits "
+                        f"for {len(positions)} keys",
+                        binary,
+                    )
+                for position, hit, value in zip(positions, part_hits, part_values):
+                    hits[position] = hit
+                    values[position] = value
+        finally:
+            # an early return leaves later parts unsettled in span terms
+            # only (FIFO links still deliver); close their link spans
+            for part in parts[settled:]:
+                if part[4] is not None:
+                    part[4].end()
         payload = {"ok": True, "hits": hits}
         if op == "MGET":
             payload["values"] = values
-        return _frame_body(_json_body(payload), binary)
+        return encode_payload(payload, binary)
+
+    def _error_answer(self, message: str, binary: bool, code: str = CODE_UPSTREAM) -> bytes:
+        """Count and frame an error answer the router produced itself."""
+        self.metrics.errors += 1
+        return encode_payload(error_payload(message, code=code), binary)
 
     # -- admin calls (retried; ride each channel's admin link) ---------------
     async def _admin_call(
@@ -949,7 +628,6 @@ class RouterServer:
     async def metrics_registry(self) -> MetricsRegistry:
         """Prometheus exposition of the merged snapshot + router counters."""
         snap = await self.stats()
-        m = self.metrics
         reg = MetricsRegistry()
         reg.gauge("repro_uptime_seconds", "seconds since the router started").set(
             snap["uptime_s"]
@@ -961,15 +639,6 @@ class RouterServer:
         reg.counter("repro_hits_total", "policy-access hits").inc(snap["hits"])
         reg.counter("repro_misses_total", "policy-access misses").inc(snap["misses"])
         reg.counter("repro_errors_total", "error responses").inc(snap["errors"])
-        reg.counter("repro_rejected_total", "connections shed by the cap").inc(
-            snap["rejected"]
-        )
-        reg.counter("repro_connections_total", "client connections accepted").inc(
-            snap["connections_total"]
-        )
-        reg.gauge("repro_connections_open", "open client connections").set(
-            snap["connections_open"]
-        )
         reg.gauge("repro_hit_ratio", "hits / accesses since start").set(snap["hit_rate"])
         reg.gauge("repro_resident_pages", "resident pages, cluster-wide").set(
             float(snap["resident"])
@@ -1012,76 +681,51 @@ class RouterServer:
             reg.gauge(
                 "repro_worker_capacity_slots", "capacity slots, by worker", labels=labels
             ).set(float(entry["capacity"]))
-        reg.register(
-            "repro_request_latency_seconds",
-            m.latency,
-            "router-observed request service time, all ops",
-        )
-        for op, hist in m.latency_by_op.items():
-            reg.register(
-                "repro_op_latency_seconds",
-                hist,
-                "router-observed request service time, by op",
-                labels={"op": op.lower()},
-            )
+        self.metrics.register(reg)
         return reg
 
     async def metrics_text(self) -> str:
         return (await self.metrics_registry()).render()
 
-    async def _finish_stats(self, binary: bool) -> bytes:
+    # -- slot finishers for the admin ops (run inside the flusher) ----------
+    async def _finish(
+        self, work: Awaitable[dict[str, Any]], binary: bool, code: str = CODE_UPSTREAM
+    ) -> bytes:
+        """Frame the answer ``work`` computes; a ServiceError becomes an error answer."""
         try:
-            payload: dict[str, Any] = {"ok": True, "stats": await self.stats()}
-            self.metrics.fanouts += 1
+            return encode_payload(await work, binary)
         except ServiceError as exc:
-            self.metrics.errors += 1
-            payload = error_payload(str(exc), code=CODE_UPSTREAM)
-        return _frame_body(_json_body(payload), binary)
+            return self._error_answer(str(exc), binary, code)
 
-    async def _finish_metrics(self, binary: bool) -> bytes:
-        try:
-            payload: dict[str, Any] = {"ok": True, "text": await self.metrics_text()}
-            self.metrics.fanouts += 1
-        except ServiceError as exc:
-            self.metrics.errors += 1
-            payload = error_payload(str(exc), code=CODE_UPSTREAM)
-        return _frame_body(_json_body(payload), binary)
+    async def _stats_answer(self) -> dict[str, Any]:
+        stats = await self.stats()
+        self.metrics.fanouts += 1
+        return {"ok": True, "stats": stats}
 
-    async def _finish_keys(self, binary: bool) -> bytes:
+    async def _metrics_answer(self) -> dict[str, Any]:
+        text = await self.metrics_text()
+        self.metrics.fanouts += 1
+        return {"ok": True, "text": text}
+
+    async def _keys_answer(self) -> dict[str, Any]:
         merged: list[int] = []
-        try:
-            for node in list(self._worker_order):
-                response = await self._checked_admin_call(
-                    self._channels[node], {"op": "KEYS"}
-                )
-                merged.extend(response.get("keys", []))
-            self.metrics.fanouts += 1
-            # dedup: a migrated key stays *resident* on its old owner with
-            # the payload dropped (DEL never evicts), so two workers may
-            # both report it
-            payload: dict[str, Any] = {"ok": True, "keys": sorted(set(merged))}
-        except ServiceError as exc:
-            self.metrics.errors += 1
-            payload = error_payload(str(exc), code=CODE_UPSTREAM)
-        return _frame_body(_json_body(payload), binary)
+        for node in list(self._worker_order):
+            response = await self._checked_admin_call(self._channels[node], {"op": "KEYS"})
+            merged.extend(response.get("keys", []))
+        self.metrics.fanouts += 1
+        # dedup: a migrated key stays *resident* on its old owner with the
+        # payload dropped (DEL never evicts), so two workers may both report it
+        return {"ok": True, "keys": sorted(set(merged))}
 
     # -- resharding ----------------------------------------------------------
-    async def _finish_reshard(self, request: Request, binary: bool) -> bytes:
+    async def _reshard_answer(self, request: Request) -> dict[str, Any]:
         async with self._admin_lock:
-            try:
-                if request.node is None:
-                    payload = {"ok": True, **self.reshard_status()}
-                elif request.remove:
-                    payload = await self._begin_reshard_remove(request.node)
-                else:
-                    assert request.host is not None and request.port is not None
-                    payload = await self._begin_reshard_add(
-                        request.node, request.host, request.port
-                    )
-            except ServiceError as exc:
-                self.metrics.errors += 1
-                payload = error_payload(str(exc), code=CODE_REJECTED)
-        return _frame_body(_json_body(payload), binary)
+            if request.node is None:
+                return {"ok": True, **self.reshard_status()}
+            if request.remove:
+                return await self._begin_reshard_remove(request.node)
+            assert request.host is not None and request.port is not None
+            return await self._begin_reshard_add(request.node, request.host, request.port)
 
     def reshard_status(self) -> dict[str, Any]:
         """Migration state (also the bare-``RESHARD`` response body)."""
@@ -1222,15 +866,6 @@ class RouterServer:
         migration.done.set()
 
     # -- migration-window data path ------------------------------------------
-    async def _finish_migrating_single(self, request: Request, binary: bool) -> bytes:
-        assert request.key is not None
-        try:
-            payload = await self._migrating_single(request)
-        except ServiceError as exc:
-            self.metrics.errors += 1
-            payload = error_payload(str(exc), code=CODE_UPSTREAM)
-        return _frame_body(_json_body(payload), binary)
-
     async def _migrating_single(self, request: Request) -> dict[str, Any]:
         """One single-key op under the double-read window (module docs §2)."""
         key = request.key
@@ -1296,32 +931,26 @@ class RouterServer:
                 return response
             return await self._admin_call(old_channel, {"op": "PEEK", "key": key})
 
-    async def _finish_migrating_batch(self, request: Request, binary: bool) -> bytes:
+    async def _migrating_batch(self, request: Request) -> dict[str, Any]:
         """MGET/MPUT during the window: per-key double-read path, in order."""
         assert request.keys is not None
         hits: list[Any] = []
         values: list[Any] = []
-        try:
-            for position, key in enumerate(request.keys):
-                if request.op == "MGET":
-                    sub = Request("GET", key=key)
-                else:
-                    assert request.values is not None
-                    sub = Request("PUT", key=key, value=request.values[position])
-                response = await self._migrating_single(sub)
-                if not response.get("ok"):
-                    raise ServiceError(
-                        f"key {key}: {response.get('error', 'worker error')}"
-                    )
-                hits.append(bool(response.get("hit")))
-                values.append(response.get("value"))
-            payload: dict[str, Any] = {"ok": True, "hits": hits}
+        for position, key in enumerate(request.keys):
             if request.op == "MGET":
-                payload["values"] = values
-        except ServiceError as exc:
-            self.metrics.errors += 1
-            payload = error_payload(str(exc), code=CODE_UPSTREAM)
-        return _frame_body(_json_body(payload), binary)
+                sub = Request("GET", key=key)
+            else:
+                assert request.values is not None
+                sub = Request("PUT", key=key, value=request.values[position])
+            response = await self._migrating_single(sub)
+            if not response.get("ok"):
+                raise ServiceError(f"key {key}: {response.get('error', 'worker error')}")
+            hits.append(bool(response.get("hit")))
+            values.append(response.get("value"))
+        payload: dict[str, Any] = {"ok": True, "hits": hits}
+        if request.op == "MGET":
+            payload["values"] = values
+        return payload
 
 
 def _request_body(request: Request) -> dict[str, Any]:
@@ -1332,18 +961,12 @@ def _request_body(request: Request) -> dict[str, Any]:
     return body
 
 
-@contextlib.asynccontextmanager
-async def running_router(
+def running_router(
     workers: Sequence[tuple[str, str, int]],
     *,
     host: str = "127.0.0.1",
     port: int = 0,
     **kwargs: Any,
-) -> AsyncIterator[RouterServer]:
+) -> RouterServer:
     """``async with running_router(workers) as router:`` start/stop bracket."""
-    router = RouterServer(workers, host=host, port=port, **kwargs)
-    await router.start()
-    try:
-        yield router
-    finally:
-        await router.stop()
+    return RouterServer(workers, host=host, port=port, **kwargs)

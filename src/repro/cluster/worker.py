@@ -40,7 +40,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.registry import make_policy
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.rng import derive_seed
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.service.server import CacheServer
@@ -154,6 +154,20 @@ def _worker_entry(spec: WorkerSpec, conn: Connection) -> None:
 
 
 async def _worker_main(spec: WorkerSpec, conn: Connection) -> None:
+    try:
+        server = CacheServer(
+            build_worker_store(spec),
+            host=spec.host,
+            port=spec.port,
+            max_inflight=spec.max_inflight,
+        )
+        await server.start()
+    except ReproError as exc:
+        # a typed startup error (bad capacity, port in use, ...) goes to
+        # the parent over the handshake pipe instead of as a traceback
+        conn.send((spec.node, None, f"{type(exc).__name__}: {exc}"))
+        conn.close()
+        return
     if spec.trace_path is not None:
         from repro.obs import tracing
 
@@ -163,13 +177,6 @@ async def _worker_main(spec: WorkerSpec, conn: Connection) -> None:
             seed=spec.seed,
             sample=spec.trace_sample,
         )
-    server = CacheServer(
-        build_worker_store(spec),
-        host=spec.host,
-        port=spec.port,
-        max_inflight=spec.max_inflight,
-    )
-    await server.start()
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     with contextlib.suppress(NotImplementedError, ValueError):
@@ -180,7 +187,7 @@ async def _worker_main(spec: WorkerSpec, conn: Connection) -> None:
     # us), so workers ignore SIGINT rather than racing to exit.
     with contextlib.suppress(NotImplementedError, ValueError, OSError):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-    conn.send((spec.node, server.port))
+    conn.send((spec.node, server.port, None))
     conn.close()
     await stop.wait()
     await server.stop()
@@ -245,13 +252,17 @@ def spawn_worker(spec: WorkerSpec, *, timeout: float = SPAWN_TIMEOUT) -> WorkerH
             raise ServiceError(
                 f"worker {spec.node} did not report a port within {timeout}s"
             )
-        node, port = parent_conn.recv()
+        node, port, error = parent_conn.recv()
+        if error is not None:
+            raise ServiceError(f"worker {spec.node}: {error}")
     except (ServiceError, EOFError, OSError) as exc:
         process.kill()
         process.join(5.0)
         if isinstance(exc, ServiceError):
             raise
-        raise ServiceError(f"worker {spec.node} died during startup: {exc}") from exc
+        raise ServiceError(
+            f"worker {spec.node} died during startup (exit code {process.exitcode})"
+        ) from exc
     finally:
         parent_conn.close()
     if node != spec.node:  # pragma: no cover - pipe is 1:1 with the child

@@ -67,6 +67,7 @@ __all__ = [
     "start_span",
     "start_remote",
     "span",
+    "ambient",
     "current_context",
     "parse_context",
     "clock",
@@ -253,6 +254,20 @@ def span(name: str, **attrs: Any) -> Iterator[Span | None]:
     finally:
         if sp is not None:
             sp.end()
+
+
+@contextlib.contextmanager
+def ambient(sp: Span) -> Iterator[None]:
+    """Make ``sp`` the ambient parent of spans opened inside the block.
+
+    For a span opened with ``activate=False`` — so that another task may
+    end it — whose work still opens children through :func:`start_span`.
+    """
+    token = _current.set((sp.trace, sp.span))
+    try:
+        yield
+    finally:
+        _current.reset(token)
 
 
 def current_context() -> str | None:

@@ -40,14 +40,14 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import itertools
 import random
-from dataclasses import dataclass, field, fields
-from typing import Any, AsyncIterator
+from dataclasses import dataclass, fields
+from typing import Any
 
-from repro.errors import ConfigurationError, ProtocolError, ServiceError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.rng import derive_seed
 from repro.service.framing import FrameSplitter
+from repro.service.frontend import Listener
 from repro.service.protocol import BINARY_HEADER_SIZE, BINARY_TAG, MAX_FRAME_BYTES, MAX_LINE_BYTES
 
 __all__ = [
@@ -239,15 +239,18 @@ class FaultStats:
         }
 
 
-class ChaosProxy:
+class ChaosProxy(Listener):
     """Newline-framed TCP proxy that applies one :class:`FaultPlan`.
 
     Accepts on ``host:port`` (``port=0`` = ephemeral; read :attr:`port`
     after :meth:`start`) and forwards each connection to
     ``upstream_host:upstream_port``. Each accepted connection gets the
     next connection index and two independent fault streams, one per
-    direction.
+    direction. The listener lifecycle is the serving front end's
+    (:class:`~repro.service.frontend.Listener`).
     """
+
+    stream_limit = 2 * MAX_LINE_BYTES
 
     def __init__(
         self,
@@ -258,51 +261,24 @@ class ChaosProxy:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
+        super().__init__(host, port)
         self.upstream_host = upstream_host
         self.upstream_port = upstream_port
         self.plan = plan
-        self.host = host
-        self.port = port
         self.stats = FaultStats()
-        self._server: asyncio.Server | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._conn_ids = itertools.count()
-
-    async def start(self) -> None:
-        if self._server is not None:
-            raise ServiceError("chaos proxy is already running")
-        try:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port, limit=2 * MAX_LINE_BYTES
-            )
-        except OSError as exc:
-            raise ServiceError(f"cannot bind {self.host}:{self.port}: {exc}") from exc
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def stop(self) -> None:
-        if self._server is None:
-            return
-        self._server.close()
-        await self._server.wait_closed()
-        for task in tuple(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._server = None
 
     async def _handle_connection(
-        self, client_reader: asyncio.StreamReader, client_writer: asyncio.StreamWriter
+        self,
+        client_reader: asyncio.StreamReader,
+        client_writer: asyncio.StreamWriter,
+        conn_id: int,
     ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._conn_tasks.add(task)
-        conn_id = next(self._conn_ids)
         self.stats.connections += 1
         upstream_writer: asyncio.StreamWriter | None = None
         try:
             try:
                 upstream_reader, upstream_writer = await asyncio.open_connection(
-                    self.upstream_host, self.upstream_port, limit=2 * MAX_LINE_BYTES
+                    self.upstream_host, self.upstream_port, limit=self.stream_limit
                 )
             except OSError:
                 self.stats.upstream_failures += 1
@@ -329,7 +305,6 @@ class ChaosProxy:
         except asyncio.CancelledError:
             pass  # proxy shutting down
         finally:
-            self._conn_tasks.discard(task)
             for writer in (client_writer, upstream_writer):
                 if writer is None:
                     continue
@@ -381,14 +356,8 @@ class ChaosProxy:
             return "error"  # peer vanished or the relay write failed
 
 
-@contextlib.asynccontextmanager
-async def running_proxy(
+def running_proxy(
     upstream_host: str, upstream_port: int, plan: FaultPlan, **kwargs: Any
-) -> AsyncIterator[ChaosProxy]:
+) -> ChaosProxy:
     """``async with running_proxy(host, port, plan) as proxy:`` bracket."""
-    proxy = ChaosProxy(upstream_host, upstream_port, plan, **kwargs)
-    await proxy.start()
-    try:
-        yield proxy
-    finally:
-        await proxy.stop()
+    return ChaosProxy(upstream_host, upstream_port, plan, **kwargs)

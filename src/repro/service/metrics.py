@@ -29,7 +29,13 @@ from typing import Any, Mapping
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 
-__all__ = ["LatencyHistogram", "RecentWindow", "ServiceMetrics", "build_registry"]
+__all__ = [
+    "ConnectionMetrics",
+    "LatencyHistogram",
+    "RecentWindow",
+    "ServiceMetrics",
+    "build_registry",
+]
 
 #: Ops that get a dedicated latency histogram (HELLO/METRICS/STATS/PING
 #: share only the combined one — they never touch the policy).
@@ -135,23 +141,17 @@ class RecentWindow:
         }
 
 
-class ServiceMetrics:
-    """Counters and gauges for one :class:`~repro.service.store.PolicyStore`.
+class ConnectionMetrics:
+    """What the connection front end counts, for the server and the router.
 
-    ``hits``/``misses`` count *policy accesses* (GET and PUT both access),
-    so ``hits / (hits + misses)`` is directly comparable to an offline
-    :class:`~repro.core.base.SimResult` hit rate over the same key
-    sequence — the parity the test suite asserts.
+    :class:`~repro.service.frontend.FrontEnd` writes every field here:
+    error answers, shed connections, write-timeout drops, connection
+    counts, and each request's latency (defined in
+    :mod:`repro.service.frontend` and ``docs/service.md``).
     """
 
     def __init__(self) -> None:
         self.started = time.monotonic()
-        self.gets = 0
-        self.puts = 0
-        self.dels = 0
-        self.hits = 0
-        self.misses = 0
-        self.kernel_batches = 0  # MGET/MPUT groups served by one kernel call
         self.errors = 0
         self.rejected = 0  # connections shed by the max_connections cap
         self.write_timeouts = 0  # connections dropped for not reading responses
@@ -161,6 +161,56 @@ class ServiceMetrics:
         self.latency_by_op = {op: LatencyHistogram() for op in PER_OP_LATENCY}
         self.recent = RecentWindow()
 
+    def record_op(self, op: str | None, seconds: float) -> None:
+        """Record one request's latency (combined + per-op + recent)."""
+        self.latency.record(seconds)
+        self.recent.record(seconds)
+        per_op = self.latency_by_op.get(op) if op is not None else None
+        if per_op is not None:
+            per_op.record(seconds)
+
+    def register(self, reg: MetricsRegistry) -> None:
+        """Add the front end's instruments to a scrape (histograms live)."""
+        reg.counter("repro_rejected_total", "connections shed by the connection cap").inc(
+            self.rejected
+        )
+        reg.counter("repro_write_timeouts_total", "connections dropped for not reading").inc(
+            self.write_timeouts
+        )
+        reg.counter("repro_connections_total", "connections accepted").inc(
+            self.connections_opened
+        )
+        reg.gauge("repro_connections_open", "currently open connections").set(
+            self.connections_opened - self.connections_closed
+        )
+        reg.register("repro_request_latency_seconds", self.latency, "request latency, all ops")
+        for op, hist in self.latency_by_op.items():
+            reg.register(
+                "repro_op_latency_seconds",
+                hist,
+                "request latency, by op",
+                labels={"op": op.lower()},
+            )
+
+
+class ServiceMetrics(ConnectionMetrics):
+    """Counters and gauges for one :class:`~repro.service.store.PolicyStore`.
+
+    ``hits``/``misses`` count *policy accesses* (GET and PUT both access),
+    so ``hits / (hits + misses)`` is directly comparable to an offline
+    :class:`~repro.core.base.SimResult` hit rate over the same key
+    sequence — the parity the test suite asserts.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gets = 0
+        self.puts = 0
+        self.dels = 0
+        self.hits = 0
+        self.misses = 0
+        self.kernel_batches = 0  # MGET/MPUT groups served by one kernel call
+
     @property
     def accesses(self) -> int:
         return self.hits + self.misses
@@ -168,14 +218,6 @@ class ServiceMetrics:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
-
-    def record_op(self, op: str | None, seconds: float) -> None:
-        """Record one request's service time (combined + per-op + recent)."""
-        self.latency.record(seconds)
-        self.recent.record(seconds)
-        per_op = self.latency_by_op.get(op) if op is not None else None
-        if per_op is not None:
-            per_op.record(seconds)
 
     def snapshot(self) -> dict[str, Any]:
         return {
@@ -230,33 +272,10 @@ def build_registry(
     reg.counter("repro_errors_total", "protocol/internal errors answered").inc(
         metrics.errors
     )
-    reg.counter(
-        "repro_rejected_total", "connections shed by the connection cap"
-    ).inc(metrics.rejected)
-    reg.counter(
-        "repro_write_timeouts_total", "connections dropped for not reading"
-    ).inc(metrics.write_timeouts)
-    reg.counter("repro_connections_total", "connections accepted").inc(
-        metrics.connections_opened
-    )
-    reg.gauge("repro_connections_open", "currently open connections").set(
-        metrics.connections_opened - metrics.connections_closed
-    )
     reg.gauge("repro_hit_ratio", "hits / accesses since start").set(metrics.hit_rate)
     for name, value in (gauges or {}).items():
         reg.gauge(name).set(value)
     for name, value in (counters or {}).items():
         reg.counter(name).inc(value)
-    reg.register(
-        "repro_request_latency_seconds",
-        metrics.latency,
-        "request service time, all ops",
-    )
-    for op, hist in metrics.latency_by_op.items():
-        reg.register(
-            "repro_op_latency_seconds",
-            hist,
-            "request service time, by op",
-            labels={"op": op.lower()},
-        )
+    metrics.register(reg)
     return reg

@@ -2,67 +2,39 @@
 
 One :class:`CacheServer` owns one store — a
 :class:`~repro.service.store.PolicyStore` or a
-:class:`~repro.service.sharding.ShardedPolicyStore` — and speaks both
-wire framings of :mod:`repro.service.protocol` (newline-delimited JSON
-and tag + length binary). Design points:
-
-- **Per-frame framing.** The connection pump splits the byte stream with
-  :class:`~repro.service.framing.FrameSplitter`, which tells the framings
-  apart from each frame's first byte. The server answers every request in
-  the framing it arrived in — there is no per-connection mode to
-  negotiate or to race against pipelined bytes; ``HELLO`` is pure
-  capability discovery for clients that want to switch.
-- **Hot-path encode reuse.** The dominant responses — GET-hit and
-  GET-miss with no stored payload — are shared singleton dicts
-  (:data:`~repro.service.protocol.RESPONSE_GET_HIT` /
-  :data:`~repro.service.protocol.RESPONSE_GET_MISS`); the writer spots
-  them by identity and sends pre-encoded bytes, never re-serializing.
-- **Per-connection error isolation.** Malformed frames get an error
-  response and the connection keeps serving; only framing violations
-  (oversized frame, broken pipe) close *that* connection. An unexpected
-  exception in a handler is answered with an ``internal-error`` response —
-  one bad client, or one bug tickled by one request, never takes the
-  server down.
-- **Graceful shutdown.** :meth:`CacheServer.stop` stops accepting, nudges
-  open connections closed, and awaits every in-flight handler, so STATS
-  counters are final when it returns.
-- **Backpressure, three layers.** ``max_connections`` caps concurrent
-  connections — excess connections get one fast ``overloaded`` response
-  and are closed (load shedding beats queueing collapse). Per connection,
-  at most ``max_inflight`` pipelined requests are buffered ahead of the
-  processor; beyond that the server simply stops reading and TCP flow
-  control pushes back on the sender, bounding memory per connection.
-  Responses go through ``writer.drain()`` under ``write_timeout`` — a
-  client that stops *reading* throttles only its own connection, and one
-  that stays wedged past the deadline is dropped (counted in
-  ``write_timeouts``) instead of parking a handler forever.
+:class:`~repro.service.sharding.ShardedPolicyStore` — and answers each
+request in the framing it arrived in. The listener, admission and
+backpressure, the frame pump, ordered flushing, per-connection error
+isolation and the framing/``HELLO`` rules are the connection front end
+of :mod:`repro.service.frontend`; this class supplies only the dispatch
+onto the store. Its dominant responses — GET-hit and GET-miss with no
+stored payload — are the shared singleton dicts
+:data:`~repro.service.protocol.RESPONSE_GET_HIT` /
+:data:`~repro.service.protocol.RESPONSE_GET_MISS`, sent as pre-encoded
+bytes. :meth:`CacheServer.stop` cancels open connections and awaits their
+handlers, so STATS counters are final when it returns.
 """
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
-from typing import Any, AsyncIterator, Union
+from typing import Any, Union
 
-from repro.errors import ConfigurationError, ProtocolError, ReproError, ServiceError
 from repro.obs import tracing
-from repro.service.framing import Frame, FrameSplitter
+from repro.service.framing import Frame
+from repro.service.frontend import (
+    DEFAULT_MAX_INFLIGHT,
+    DEFAULT_WRITE_TIMEOUT,
+    FrontEnd,
+    encode_payload,
+)
+from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
-    CODE_OVERFLOW,
-    CODE_INTERNAL,
     CODE_REJECTED,
-    FEATURES,
-    FRAME_BINARY,
-    FRAME_NDJSON,
     FRAMES,
-    MAX_LINE_BYTES,
     RESPONSE_GET_HIT,
     RESPONSE_GET_MISS,
     Request,
-    encode_response,
     error_payload,
-    overload_payload,
-    decode_request,
 )
 from repro.service.sharding import ShardedPolicyStore
 from repro.service.store import PolicyStore
@@ -71,32 +43,8 @@ __all__ = ["DEFAULT_WRITE_TIMEOUT", "DEFAULT_MAX_INFLIGHT", "CacheServer", "runn
 
 Store = Union[PolicyStore, ShardedPolicyStore]
 
-#: Default deadline for draining one response to a slow client, seconds.
-DEFAULT_WRITE_TIMEOUT = 30.0
 
-#: Default per-connection pipelined-request buffer (requests read ahead of
-#: the processor before the server stops reading that connection).
-DEFAULT_MAX_INFLIGHT = 32
-
-#: Socket read size of the connection pump.
-_READ_CHUNK = 1 << 16
-
-#: Queue sentinels from the per-connection reader task.
-_EOF = object()
-_OVERFLOW = object()
-
-#: Pre-encoded bytes of the template GET responses, indexed by ``binary``.
-_HIT_BYTES = (
-    encode_response(RESPONSE_GET_HIT),
-    encode_response(RESPONSE_GET_HIT, frame=FRAME_BINARY),
-)
-_MISS_BYTES = (
-    encode_response(RESPONSE_GET_MISS),
-    encode_response(RESPONSE_GET_MISS, frame=FRAME_BINARY),
-)
-
-
-class CacheServer:
+class CacheServer(FrontEnd):
     """Serve one policy store over TCP.
 
     Parameters
@@ -124,6 +72,8 @@ class CacheServer:
         ``bad-request`` answer in that framing.
     """
 
+    span_name = "server"
+
     def __init__(
         self,
         store: Store,
@@ -135,227 +85,35 @@ class CacheServer:
         write_timeout: float | None = DEFAULT_WRITE_TIMEOUT,
         frames: tuple[str, ...] = FRAMES,
     ):
-        if max_connections is not None and max_connections < 1:
-            raise ConfigurationError(
-                f"max_connections must be >= 1 or None, got {max_connections}"
-            )
-        if max_inflight < 1:
-            raise ConfigurationError(f"max_inflight must be >= 1, got {max_inflight}")
-        if write_timeout is not None and write_timeout <= 0:
-            raise ConfigurationError(
-                f"write_timeout must be positive or None, got {write_timeout}"
-            )
-        if not frames or any(f not in FRAMES for f in frames):
-            raise ConfigurationError(
-                f"frames must be a non-empty subset of {list(FRAMES)}, got {frames!r}"
-            )
+        super().__init__(
+            host=host,
+            port=port,
+            max_connections=max_connections,
+            max_inflight=max_inflight,
+            write_timeout=write_timeout,
+            frames=frames,
+        )
         self.store = store
-        self.host = host
-        self.port = port
-        self.max_connections = max_connections
-        self.max_inflight = max_inflight
-        self.write_timeout = write_timeout
-        self.frames = tuple(frames)
-        self._server: asyncio.Server | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
-
-    # -- lifecycle ----------------------------------------------------------
-    async def start(self) -> None:
-        """Bind and start accepting connections (returns immediately)."""
-        if self._server is not None:
-            raise ServiceError("server is already running")
-        try:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
-            )
-        except OSError as exc:
-            raise ServiceError(f"cannot bind {self.host}:{self.port}: {exc}") from exc
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve_forever(self) -> None:
-        """Block until :meth:`stop` (or task cancellation)."""
-        if self._server is None:
-            raise ServiceError("call start() before serve_forever()")
-        with contextlib.suppress(asyncio.CancelledError):
-            await self._server.serve_forever()
-
-    async def stop(self) -> None:
-        """Stop accepting, drain in-flight handlers, release the port."""
-        if self._server is None:
-            return
-        self._server.close()
-        await self._server.wait_closed()
-        for task in tuple(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._server = None
 
     @property
-    def is_serving(self) -> bool:
-        return self._server is not None
+    def metrics(self) -> ServiceMetrics:
+        return self.store.metrics
 
-    # -- connection handling ------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._conn_tasks.add(task)
-        metrics = self.store.metrics
-        metrics.connections_opened += 1
-        try:
-            if self.max_connections is not None and len(self._conn_tasks) > self.max_connections:
-                # Load shedding: answer fast so the client can back off and
-                # retry, instead of silently queueing into a death spiral.
-                metrics.rejected += 1
-                writer.write(encode_response(overload_payload()))
-                await self._drain(writer, metrics)
-            else:
-                await self._serve_connection(reader, writer, metrics)
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass  # client vanished or server shutting down; nothing to answer
-        finally:
-            metrics.connections_closed += 1
-            self._conn_tasks.discard(task)
-            writer.close()
-            # CancelledError is a BaseException: during shutdown the task
-            # is cancelled while awaiting wait_closed, and letting it
-            # escape here prints "exception never retrieved" noise.
-            with contextlib.suppress(Exception, asyncio.CancelledError):
-                await writer.wait_closed()
+    async def _dispatch(
+        self, frame: Frame, request: Request, conn_index: int, span: tracing.Span | None
+    ) -> bytes:
+        if span is None:
+            return encode_payload(await self._respond(request), frame.binary)
+        with tracing.ambient(span):  # the store's spans nest under the request
+            return encode_payload(await self._respond(request), frame.binary)
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, metrics: Any
-    ) -> None:
-        # The pump task splits the byte stream into frames and pushes them
-        # into a bounded queue; this coroutine consumes them in order. The
-        # queue lets the server read ahead of a slow policy step
-        # (pipelining), while its maxsize is the in-flight window: when
-        # full, the pump blocks, the socket stops being read, and TCP
-        # pushes back on the client.
-        queue: asyncio.Queue[Any] = asyncio.Queue(maxsize=self.max_inflight)
-        pump = asyncio.create_task(self._pump_requests(reader, queue))
-        loop = asyncio.get_running_loop()
-        try:
-            while True:
-                item = await queue.get()
-                if item is _EOF:
-                    break
-                if item is _OVERFLOW:
-                    # frame too large: the stream is no longer parseable,
-                    # report once and drop only this connection
-                    metrics.errors += 1
-                    writer.write(
-                        encode_response(error_payload("frame too long", code=CODE_OVERFLOW))
-                    )
-                    await self._drain(writer, metrics)
-                    break
-                start = loop.time()
-                response, op = await self._handle_frame(item)
-                metrics.record_op(op, loop.time() - start)
-                writer.write(self._encode(response, item.binary))
-                if not await self._drain(writer, metrics):
-                    break
-        finally:
-            pump.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await pump
-
-    @staticmethod
-    async def _pump_requests(reader: asyncio.StreamReader, queue: asyncio.Queue) -> None:
-        splitter = FrameSplitter()
-        while True:
-            try:
-                chunk = await reader.read(_READ_CHUNK)
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                await queue.put(_EOF)
-                return
-            if not chunk:
-                await queue.put(_EOF)
-                return
-            try:
-                frames = splitter.feed(chunk)
-            except ProtocolError:
-                await queue.put(_OVERFLOW)
-                return
-            for frame in frames:
-                await queue.put(frame)  # blocks when the in-flight window is full
-
-    @staticmethod
-    def _encode(response: dict[str, Any], binary: bool) -> bytes:
-        if response is RESPONSE_GET_HIT:
-            return _HIT_BYTES[binary]
-        if response is RESPONSE_GET_MISS:
-            return _MISS_BYTES[binary]
-        return encode_response(response, frame=FRAME_BINARY if binary else FRAME_NDJSON)
-
-    async def _drain(self, writer: asyncio.StreamWriter, metrics: Any) -> bool:
-        """Flush to the client under ``write_timeout``; False = drop them."""
-        try:
-            if self.write_timeout is None:
-                await writer.drain()
-            else:
-                await asyncio.wait_for(writer.drain(), self.write_timeout)
-        except asyncio.TimeoutError:
-            metrics.write_timeouts += 1
-            return False
-        return True
-
-    async def _handle_frame(self, frame: Frame) -> tuple[dict[str, Any], str | None]:
-        """Decode + dispatch one frame; returns ``(response, op-or-None)``.
-
-        The op is ``None`` when the frame never parsed into a request —
-        the latency of answering garbage still lands in the combined
-        histogram, just not in any per-op one.
-        """
-        t0 = tracing.clock() if tracing.ENABLED else 0
-        try:
-            request = decode_request(frame.payload)
-        except ProtocolError as exc:
-            self.store.metrics.errors += 1
-            return error_payload(str(exc)), None
-        tspan = None
-        if tracing.ENABLED:
-            # a traced binary frame carries the context in its header, an
-            # NDJSON request in its "trace" field; header wins (the router
-            # splices its own span there when forwarding)
-            tspan = tracing.start_remote(
-                frame.trace or request.trace, "server.request", op=request.op
-            )
-            if tspan is not None:
-                tspan.child("server.parse", start_ns=t0)
-        try:
-            arrived = FRAME_BINARY if frame.binary else FRAME_NDJSON
-            if arrived not in self.frames and request.op != "HELLO":
-                self.store.metrics.errors += 1
-                return (
-                    error_payload(
-                        f"{arrived} framing not accepted here; negotiate via HELLO"
-                    ),
-                    request.op,
-                )
-            try:
-                return await self._dispatch(request), request.op
-            except ReproError as exc:
-                self.store.metrics.errors += 1
-                return error_payload(str(exc), code=CODE_REJECTED), request.op
-            except Exception as exc:  # noqa: BLE001 - isolation boundary
-                self.store.metrics.errors += 1
-                return error_payload(
-                    f"{type(exc).__name__}: {exc}", code=CODE_INTERNAL
-                ), request.op
-        finally:
-            if tspan is not None:
-                tspan.end()
-
-    async def _dispatch(self, request: Request) -> dict[str, Any]:
+    async def _respond(self, request: Request) -> dict[str, Any]:
         op = request.op
         if op == "GET":
             assert request.key is not None
             hit, value = await self.store.get(request.key)
             if value is None:
-                # template singletons: the writer recognizes these by
+                # template singletons: encode_payload recognizes these by
                 # identity and sends pre-encoded bytes
                 return RESPONSE_GET_HIT if hit else RESPONSE_GET_MISS
             return {"ok": True, "hit": hit, "value": value}
@@ -390,18 +148,6 @@ class CacheServer:
                 "RESHARD is a cluster-router operation; this server fronts a single store",
                 code=CODE_REJECTED,
             )
-        if op == "HELLO":
-            requested = request.frame or FRAME_NDJSON
-            if requested not in self.frames:
-                return error_payload(
-                    f"{requested} framing not accepted here; server accepts {list(self.frames)}"
-                )
-            return {
-                "ok": True,
-                "frame": requested,
-                "frames": list(self.frames),
-                "features": list(FEATURES),
-            }
         if op == "STATS":
             return {"ok": True, "stats": await self.store.stats()}
         if op == "METRICS":
@@ -410,18 +156,12 @@ class CacheServer:
         return {"ok": True, "pong": True}
 
 
-@contextlib.asynccontextmanager
-async def running_server(
+def running_server(
     store: Store, *, host: str = "127.0.0.1", port: int = 0, **kwargs: Any
-) -> AsyncIterator[CacheServer]:
+) -> CacheServer:
     """``async with running_server(store) as server:`` — start/stop bracket.
 
     Keyword arguments (``max_connections``, ``max_inflight``,
     ``write_timeout``, ``frames``) pass through to :class:`CacheServer`.
     """
-    server = CacheServer(store, host=host, port=port, **kwargs)
-    await server.start()
-    try:
-        yield server
-    finally:
-        await server.stop()
+    return CacheServer(store, host=host, port=port, **kwargs)

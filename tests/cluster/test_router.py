@@ -9,6 +9,7 @@ ring-partitioned reference (:func:`cluster_reference`).
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.cluster.worker import build_specs, cluster_reference
 from repro.errors import ConfigurationError, ServiceError
 from repro.service.client import ServiceClient
 from repro.service.loadgen import replay_trace
-from repro.service.protocol import CODE_UPSTREAM
+from repro.service.protocol import CODE_OVERFLOW, CODE_UPSTREAM, MAX_FRAME_BYTES
 
 from tests.cluster.util import running_tier, start_worker
 
@@ -50,6 +51,11 @@ class TestConstruction:
             RouterServer(workers, max_inflight=0)
         with pytest.raises(ConfigurationError):
             RouterServer(workers, frames=("smoke-signals",))
+
+    @pytest.mark.parametrize("write_timeout", [0, -1.0])
+    def test_non_positive_write_timeout_rejected(self, write_timeout):
+        with pytest.raises(ConfigurationError, match="write_timeout"):
+            RouterServer([("w0", "h", 1)], write_timeout=write_timeout)
 
 
 class TestRoundTrip:
@@ -270,6 +276,50 @@ class TestErrorIsolation:
                 # first) or a counted retry (GET was already in flight) —
                 # both end with a second upstream connection
                 assert stats["router"]["upstream_connects"] >= 2
+
+        run(scenario())
+
+    def test_oversized_frame_answered_then_connection_closed(self):
+        """Like the single server: one ``overflow`` answer, then EOF."""
+
+        async def scenario():
+            async with running_tier() as tier:
+                reader, writer = await asyncio.open_connection("127.0.0.1", tier.port)
+                # a binary header declaring a body past the frame bound
+                writer.write(b"\xb1" + MAX_FRAME_BYTES.to_bytes(4, "big"))
+                await writer.drain()
+                answer = json.loads(await asyncio.wait_for(reader.readline(), 2.0))
+                tail = await asyncio.wait_for(reader.read(), 2.0)
+                writer.close()
+                return answer, tail
+
+        answer, tail = run(scenario())
+        assert answer["ok"] is False and answer["code"] == CODE_OVERFLOW
+        assert tail == b""
+
+    def test_slow_client_dropped_after_write_timeout(self):
+        async def scenario():
+            async with running_tier(write_timeout=0.1) as tier:
+                reader, writer = await asyncio.open_connection("127.0.0.1", tier.port)
+                # park a large payload, then pipeline GETs for it without
+                # ever reading: the router's drain must eventually wedge
+                big = "x" * 900_000
+                writer.write(
+                    (f'{{"op":"PUT","key":1,"value":"{big}"}}\n').encode()
+                    + b'{"op":"GET","key":1}\n' * 64
+                )
+                await writer.drain()
+                await asyncio.sleep(1.5)  # never read; let the deadline fire
+                assert tier.router.metrics.write_timeouts >= 1
+
+                async def read_to_end():
+                    with contextlib.suppress(ConnectionResetError):
+                        while await reader.read(1 << 20):
+                            pass
+
+                # dropped: what the kernel buffered drains, then EOF or reset
+                await asyncio.wait_for(read_to_end(), 5.0)
+                writer.close()
 
         run(scenario())
 

@@ -10,6 +10,7 @@ import pytest
 import repro
 from repro.errors import ServiceError
 from repro.service.client import ServiceClient
+from repro.service.protocol import CODE_OVERFLOW, MAX_FRAME_BYTES
 from repro.service.server import CacheServer, running_server
 from repro.service.store import PolicyStore
 
@@ -131,6 +132,24 @@ class TestErrorIsolation:
                     return await c.ping()
 
         assert run(scenario()) is True
+
+    def test_oversized_frame_answered_then_connection_closed(self):
+        """The ``overflow`` row of the failure table: one answer, then EOF."""
+
+        async def scenario():
+            async with running_server(make_store()) as server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                # a binary header declaring a body past the frame bound
+                writer.write(b"\xb1" + MAX_FRAME_BYTES.to_bytes(4, "big"))
+                await writer.drain()
+                answer = json.loads(await asyncio.wait_for(reader.readline(), 2.0))
+                tail = await asyncio.wait_for(reader.read(), 2.0)
+                writer.close()
+                return answer, tail
+
+        answer, tail = run(scenario())
+        assert answer["ok"] is False and answer["code"] == CODE_OVERFLOW
+        assert tail == b""
 
 
 class TestLifecycle:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,6 +99,20 @@ class TestTypedErrors:
         assert main(argv) == 2
         line = _error_line(capsys)
         assert "line 2" in line and "'abc'" in line
+
+    def test_worker_startup_error_reaches_the_parent(self):
+        """A worker that cannot build its policy reports the typed error
+        over the handshake; no child traceback reaches the terminal."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = [sys.executable, "-m", "repro.cli", "cluster", "--policy", "heatsink",
+                "--capacity", "2", "--workers", "2", "--port", "0"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, done.stderr
+        assert "CapacityError" in errors[0]
 
 
 class TestServiceCommands:
