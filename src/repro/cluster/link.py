@@ -38,14 +38,8 @@ from typing import Any
 
 from repro.errors import ProtocolError, ServiceError, ServiceTimeout
 from repro.service.client import DEFAULT_CONNECT_TIMEOUT
-from repro.service.protocol import (
-    BINARY_HEADER_SIZE,
-    BINARY_TAG,
-    MAX_FRAME_BYTES,
-    MAX_LINE_BYTES,
-    decode_response,
-    encode_frame,
-)
+from repro.service.framing import read_binary_frame
+from repro.service.protocol import MAX_LINE_BYTES, decode_response, encode_frame
 
 __all__ = ["DEFAULT_UPSTREAM_TIMEOUT", "DEFAULT_MAX_PENDING", "WorkerLink", "WorkerChannel"]
 
@@ -182,33 +176,19 @@ class WorkerLink:
     async def _read_responses(self, reader: asyncio.StreamReader, generation: int) -> None:
         """Resolve pending futures with response bodies, FIFO."""
         try:
-            while True:
-                header = await reader.readexactly(BINARY_HEADER_SIZE)
-                tag, length = header[0], int.from_bytes(header[1:], "big")
-                if tag != BINARY_TAG:
-                    raise ProtocolError(
-                        f"worker {self.node} sent frame tag 0x{tag:02x}, "
-                        f"expected 0x{BINARY_TAG:02x}"
-                    )
-                if BINARY_HEADER_SIZE + length > MAX_FRAME_BYTES:
-                    raise ProtocolError(
-                        f"worker {self.node} frame of {BINARY_HEADER_SIZE + length} "
-                        f"bytes exceeds {MAX_FRAME_BYTES}"
-                    )
-                body = await reader.readexactly(length)
+            while body := await read_binary_frame(reader):
                 if not self._pending:
-                    raise ProtocolError(f"worker {self.node} sent an unsolicited frame")
+                    raise ProtocolError("unsolicited frame")
                 future = self._pending.popleft()
                 self._sem.release()
                 if not future.done():
                     future.set_result(body)
-        except asyncio.CancelledError:
-            raise
-        except asyncio.IncompleteReadError:
             self._reset(
                 ServiceError(f"worker {self.node} closed the connection"),
                 generation=generation,
             )
+        except asyncio.CancelledError:
+            raise
         except (ProtocolError, ConnectionResetError, BrokenPipeError, OSError) as exc:
             self._reset(
                 ServiceError(f"worker {self.node} link failed: {exc}"),

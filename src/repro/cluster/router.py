@@ -15,10 +15,10 @@ shared with the single-process server
 per-request dispatch. Design points:
 
 - **Per-connection order is preserved end to end.** The front end's
-  dispatch loop calls :meth:`RouterServer._dispatch` in frame order, which
+  connection loop calls :meth:`RouterServer._dispatch` in frame order, which
   *sends upstream at once* and returns a coroutine; the front end's
   flusher awaits those coroutines and writes the responses back in the
-  same order. Forwarded requests pipeline: the dispatch loop does not wait
+  same order. Forwarded requests pipeline: the connection loop does not wait
   for worker responses, the flusher does. Because a client connection is
   pinned to one link per worker, each worker sees that connection's ops
   in order — which is what keeps a one-connection replay through the

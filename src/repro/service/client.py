@@ -44,9 +44,8 @@ from repro.errors import (
 )
 from repro.obs import tracing
 from repro.rng import derive_seed
+from repro.service.framing import read_binary_frame
 from repro.service.protocol import (
-    BINARY_HEADER_SIZE,
-    BINARY_TAG,
     CODE_OVERLOADED,
     FEATURE_TRACE,
     FRAME_BINARY,
@@ -54,7 +53,6 @@ from repro.service.protocol import (
     FRAMES,
     IDEMPOTENT_OPS,
     MAX_BATCH_KEYS,
-    MAX_FRAME_BYTES,
     MAX_LINE_BYTES,
     Request,
     batch_responses,
@@ -330,58 +328,37 @@ class ServiceClient:
         return encode_request(replace(req, trace=root.ctx), frame=self.frame)
 
     async def _send(self, data: bytes) -> None:
+        writer = self._writer
         try:
-            self._writer.write(data)
-            await self._await(self._writer.drain(), "write")
+            writer.write(data)
+            transport = writer.transport
+            if transport.get_write_buffer_size() <= transport.get_write_buffer_limits()[0]:
+                # at or under the low-water mark writing is not paused, so
+                # drain() cannot block: no deadline, no wait_for task hop
+                await writer.drain()
+            else:
+                await self._await(writer.drain(), "write")
         except ServiceError:
             raise  # ServiceTimeout is a TimeoutError and hence an OSError
         except OSError as exc:
             raise ServiceError(f"connection lost while writing: {exc}") from exc
 
     async def _read_response(self) -> dict[str, Any]:
+        # under the operation deadline; a binary frame cut off mid-body
+        # fails fast with ProtocolError: it can never hang, and it can never
+        # be mistaken for a complete response
         if self.frame == FRAME_BINARY:
-            return await self._read_binary_response()
+            read = read_binary_frame(self._reader)
+        else:
+            read = self._reader.readline()
         try:
-            line = await self._await(self._reader.readline(), "response read")
+            body = await self._await(read, "response read")
         except ServiceError:
             raise  # ServiceTimeout is a TimeoutError and hence an OSError
         except OSError as exc:
             raise ServiceError(f"connection lost while reading: {exc}") from exc
-        if not line:
+        if not body:
             raise ServiceError("server closed the connection")
-        try:
-            return decode_response(line)
-        except ProtocolError as exc:
-            raise ServiceError(f"unparseable server response: {exc}") from exc
-
-    async def _read_binary_response(self) -> dict[str, Any]:
-        # exact-length reads under the operation deadline: a frame cut off
-        # mid-body fails fast with ProtocolError — it can never hang, and
-        # it can never be mistaken for a complete response
-        try:
-            header = await self._await(
-                self._reader.readexactly(BINARY_HEADER_SIZE), "response read"
-            )
-            tag, length = header[0], int.from_bytes(header[1:], "big")
-            if tag != BINARY_TAG:
-                raise ProtocolError(
-                    f"bad binary frame tag 0x{tag:02x}; expected 0x{BINARY_TAG:02x}"
-                )
-            if BINARY_HEADER_SIZE + length > MAX_FRAME_BYTES:
-                raise ProtocolError(
-                    f"binary frame of {BINARY_HEADER_SIZE + length} bytes exceeds {MAX_FRAME_BYTES}"
-                )
-            body = await self._await(self._reader.readexactly(length), "response read")
-        except asyncio.IncompleteReadError as exc:
-            if exc.partial:
-                raise ProtocolError(
-                    f"truncated binary frame: connection closed after {len(exc.partial)} bytes"
-                ) from None
-            raise ServiceError("server closed the connection") from None
-        except ServiceError:
-            raise
-        except OSError as exc:
-            raise ServiceError(f"connection lost while reading: {exc}") from exc
         try:
             return decode_response(body)
         except ProtocolError as exc:

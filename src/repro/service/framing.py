@@ -16,10 +16,16 @@ at the endpoint answers them), while framing violations (an oversized
 line, a binary header declaring an oversized body) raise
 :class:`~repro.errors.ProtocolError`, after which the stream is
 unparseable and the connection must be dropped.
+
+:func:`read_binary_frame` is the reading side's counterpart for peers
+that only ever answer in binary (the client's binary mode, the router's
+worker links): one response frame off a stream reader, bounded and
+never mistaken for a complete frame when the stream is cut.
 """
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass
 
 from repro.errors import ProtocolError
@@ -30,7 +36,7 @@ from repro.service.protocol import (
     TRACE_TAG,
 )
 
-__all__ = ["Frame", "FrameSplitter"]
+__all__ = ["Frame", "FrameSplitter", "read_binary_frame"]
 
 
 @dataclass(frozen=True)
@@ -134,3 +140,37 @@ class FrameSplitter:
         raw = bytes(buf[: end + 1])
         del buf[: end + 1]
         return Frame(raw=raw, payload=raw, binary=False)
+
+
+async def read_binary_frame(reader: asyncio.StreamReader) -> bytes:
+    """Read one binary (tag ``0xB1``) response frame; return its body.
+
+    Like ``StreamReader.readline``, ``b""`` means the stream ended
+    cleanly between frames (a response body holds JSON, so it is never
+    empty). A wrong tag, an empty body, a header declaring more than
+    :data:`~repro.service.protocol.MAX_FRAME_BYTES`, or a stream that ends
+    mid-frame raise :class:`~repro.errors.ProtocolError`.
+    """
+    try:
+        header = await reader.readexactly(BINARY_HEADER_SIZE)
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return b""
+        raise _truncated(len(exc.partial)) from None
+    tag, length = header[0], int.from_bytes(header[1:], "big")
+    if tag != BINARY_TAG:
+        raise ProtocolError(f"bad binary frame tag 0x{tag:02x}; expected 0x{BINARY_TAG:02x}")
+    if length == 0:
+        raise ProtocolError("empty binary frame")
+    if BINARY_HEADER_SIZE + length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"binary frame of {BINARY_HEADER_SIZE + length} bytes exceeds {MAX_FRAME_BYTES}"
+        )
+    try:
+        return await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise _truncated(BINARY_HEADER_SIZE + len(exc.partial)) from None
+
+
+def _truncated(received: int) -> ProtocolError:
+    return ProtocolError(f"truncated binary frame: connection closed after {received} bytes")

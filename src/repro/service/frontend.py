@@ -10,22 +10,24 @@ adds the wire protocol. Per connection:
 
 - **admission** — past ``max_connections`` a connection gets one
   ``overloaded`` answer and is closed (``rejected``);
-- **a reader task** — bytes → :class:`~repro.service.framing.FrameSplitter`
-  frames → a queue bounded by ``max_inflight``; when it is full the socket
-  is not read and TCP pushes back on the sender;
-- **a dispatch loop** — answers garbage, refused framings and ``HELLO``
-  itself and hands every other request, in frame order, to the subclass's
-  :meth:`~FrontEnd._dispatch`, which returns a *response slot*: the
-  answer's bytes, or an awaitable yielding them (the router sends upstream
-  at once and settles later, which pipelines its links);
+- **a connection loop** — reads bytes, splits them into frames with a
+  :class:`~repro.service.framing.FrameSplitter`, answers garbage, refused
+  framings and ``HELLO`` itself and hands every other request, in frame
+  order, to the subclass's :meth:`~FrontEnd._dispatch`, which returns a
+  *response slot*: the answer's bytes, or an awaitable yielding them (the
+  router sends upstream at once and settles later, which pipelines its
+  links). The loop queues each slot for the flusher; the queue holds at
+  most ``max_inflight`` slots, and while it is full the socket is not read
+  and TCP pushes back on the sender;
 - **a flusher task** — settles the slots in order, writes them, and drains
   under ``write_timeout``. A client that will not read for that long
   (``write_timeouts``), or a slot that raises, drops the connection.
 
-An oversized frame is answered with ``overflow`` and ends the connection.
+An oversized frame is answered with ``overflow`` and ends the connection;
+at EOF the slots already queued are still flushed.
 
 **Request latency** has one definition for both servers: from the moment
-the dispatch loop takes the frame off the queue to the moment the flusher
+the connection loop starts answering the frame to the moment the flusher
 hands the settled response to the transport. **Spans**: a traced request
 opens ``<span_name>.request`` (joining the client's trace, never rooting
 one) with a back-dated ``.parse`` child and a ``.queue`` child for its wait
@@ -71,8 +73,8 @@ __all__ = [
 #: Default deadline for draining one response to a slow client, seconds.
 DEFAULT_WRITE_TIMEOUT = 30.0
 
-#: Default per-connection pipelined-request buffer (requests read ahead of
-#: the dispatch loop before the front end stops reading that connection).
+#: Default per-connection pipelined-request buffer (responses queued for
+#: the flusher before the front end stops reading that connection).
 DEFAULT_MAX_INFLIGHT = 32
 
 #: A response slot: the framed answer, or an awaitable that yields it.
@@ -80,13 +82,10 @@ Slot = Union[bytes, Awaitable[bytes]]
 
 _L = TypeVar("_L", bound="Listener")
 
-#: Socket read size of the reader task.
+#: Socket read size of the connection loop.
 _READ_CHUNK = 1 << 16
 
-#: Queue sentinels: end of the client's stream, an oversized frame, and
-#: the end of a connection's response stream.
-_EOF = object()
-_OVERFLOW = object()
+#: Response-queue sentinel: the end of a connection's response stream.
 _DONE = object()
 
 _OVERFLOW_BYTES = encode_response(error_payload("frame too long", code=CODE_OVERFLOW))
@@ -278,32 +277,38 @@ class FrontEnd(Listener):
         loop = asyncio.get_running_loop()
         metrics = self.metrics
         queue_span = f"{self.span_name}.queue"
-        frames: asyncio.Queue[Any] = asyncio.Queue(maxsize=self.max_inflight)
         responses: asyncio.Queue[Any] = asyncio.Queue(maxsize=self.max_inflight)
         transport = writer.transport
-        reading = asyncio.create_task(_read_frames(reader, frames))
+        splitter = FrameSplitter()
         flushing = asyncio.create_task(self._flush(writer, responses))
         try:
-            while True:
-                frame = await frames.get()
-                if frame is _EOF or transport.is_closing():  # closing: dropped
+            while not transport.is_closing():  # closing: dropped by the flusher
+                try:
+                    chunk = await reader.read(_READ_CHUNK)
+                except (ConnectionResetError, BrokenPipeError, OSError):
+                    chunk = b""
+                if not chunk:
                     break
-                start = loop.time()
-                if frame is _OVERFLOW:
+                try:
+                    frames = splitter.feed(chunk)
+                except ProtocolError:
                     # the stream is no longer parseable: answer once, then
                     # end this connection only
                     metrics.errors += 1
-                    await responses.put((start, None, _OVERFLOW_BYTES, None, None))
+                    await responses.put((loop.time(), None, _OVERFLOW_BYTES, None, None))
                     break
-                op, slot, span = await self._answer(frame, index)
-                # opened at enqueue, ended by the flusher when it pops the
-                # slot: head-of-line blocking shows up as its own span
-                qspan = span.start_child(queue_span) if span is not None else None
-                await responses.put((start, op, slot, span, qspan))
+                for frame in frames:
+                    if transport.is_closing():
+                        break
+                    start = loop.time()
+                    op, slot, span = await self._answer(frame, index)
+                    # opened at enqueue, ended by the flusher when it pops the
+                    # slot: head-of-line blocking shows up as its own span
+                    qspan = span.start_child(queue_span) if span is not None else None
+                    # blocks while max_inflight answers are queued, and the
+                    # socket is not read meanwhile: TCP pushes back
+                    await responses.put((start, op, slot, span, qspan))
         finally:
-            reading.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await reading
             try:
                 # let the flusher finish everything already queued
                 await responses.put(_DONE)
@@ -380,7 +385,7 @@ class FrontEnd(Listener):
         """Settle and write response slots in request order.
 
         After the connection is dropped the flusher keeps consuming (and
-        settling) slots without writing, so the dispatch loop can never
+        settling) slots without writing, so the connection loop can never
         block on a full queue; it sees the closing transport and stops.
         """
         loop = asyncio.get_running_loop()
@@ -433,26 +438,6 @@ class FrontEnd(Listener):
         except (ConnectionResetError, BrokenPipeError, OSError):
             return False
         return True
-
-
-async def _read_frames(reader: asyncio.StreamReader, frames: asyncio.Queue) -> None:
-    """The reader task: split the byte stream into frames, in order."""
-    splitter = FrameSplitter()
-    while True:
-        try:
-            chunk = await reader.read(_READ_CHUNK)
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            chunk = b""
-        if not chunk:
-            await frames.put(_EOF)
-            return
-        try:
-            batch = splitter.feed(chunk)
-        except ProtocolError:
-            await frames.put(_OVERFLOW)
-            return
-        for frame in batch:
-            await frames.put(frame)  # blocks when the in-flight window is full
 
 
 def _discard_queued(responses: asyncio.Queue) -> None:

@@ -8,11 +8,22 @@ politely excludes exactly the moments the server was drowning.
 
 This module measures the question an SLO actually asks: **at a fixed
 offered rate, what latency do clients see?** Requests are released on a
-precomputed arrival schedule regardless of completions (Poisson arrivals
-at ``rate``/s, or bursty clumps with ``burst`` mean size at the same
+seeded arrival schedule regardless of completions (Poisson arrivals at
+``rate``/s, or bursty clumps with ``burst`` mean size at the same
 long-run rate), and every request's latency is measured from its
 *scheduled* arrival time — a request that queued behind a stall is
 charged the stall, exactly as a real client would experience it.
+
+One code path serves arrays and streams. The schedule is generated as
+requests are sent, not precomputed: one sender walks the input's chunks
+(an array is one chunk, a :class:`~repro.traces.streaming.TraceStream`
+yields its ``chunks()``), sleeps until each arrival drawn from
+:func:`_arrival_offsets`, and sends key *i* on connection
+``i % connections``. One reader per connection pairs each response, FIFO,
+with its scheduled arrival and counts hits, errors and SLO violations
+exactly. Only the latency store differs: exact values for an array, a
+bounded log₂ :class:`~repro.obs.metrics.Histogram` for a stream (the
+report sets ``approx_percentiles``), so a stream runs in O(chunk) memory.
 
 Honesty requires one more check: if the *generator* cannot keep up (the
 event loop scheduled a send late), the run is measuring the load
@@ -24,16 +35,18 @@ discarded, not celebrated.
 
 Determinism: the schedule is drawn from a seeded generator
 (``derive_seed(seed, "open-loop")``), so two runs at the same rate
-offer byte-identical arrival processes.
+offer byte-identical arrival processes, and :func:`arrival_schedule`
+returns exactly the offsets a run would send.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
+import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -53,65 +66,74 @@ MAX_LAG_FRACTION = 0.25
 MAX_LAG_SECONDS = 0.005
 
 
-def arrival_schedule(
-    n: int, rate: float, *, burst: float = 1.0, seed: int = 0
-) -> np.ndarray:
-    """``n`` arrival offsets (seconds from start) at ``rate`` requests/s.
+def _arrival_offsets(rate: float, burst: float, seed: int) -> Iterator[float]:
+    """Unbounded arrival offsets (seconds from start) at ``rate`` requests/s.
 
     ``burst == 1`` gives a Poisson process (i.i.d. exponential gaps).
     ``burst > 1`` clumps arrivals: burst sizes are geometric with mean
     ``burst``, burst gaps exponential with mean ``burst / rate``, so the
     long-run rate is still ``rate`` but arrivals land in simultaneous
     spikes — the adversarial shape for queue-depth tails.
+
+    ``rate`` and ``burst`` are checked when this is called, not at the
+    first draw, so a bad value fails before any connection opens.
     """
-    if n < 1:
-        raise ConfigurationError(f"n must be >= 1, got {n}")
     if rate <= 0:
         raise ConfigurationError(f"rate must be > 0, got {rate}")
     if burst < 1.0:
         raise ConfigurationError(f"burst must be >= 1, got {burst}")
     rng = np.random.default_rng(derive_seed(seed, "open-loop"))
-    if burst == 1.0:
-        return np.cumsum(rng.exponential(1.0 / rate, size=n))
-    out = np.empty(n)
-    i = 0
-    t = 0.0
-    while i < n:
-        t += rng.exponential(burst / rate)
-        size = min(int(rng.geometric(1.0 / burst)), n - i)
-        out[i : i + size] = t
-        i += size
-    return out
 
-
-def _arrival_offsets(rate: float, burst: float, seed: int):
-    """Unbounded arrival offsets — the generator form of
-    :func:`arrival_schedule` for streams of unknown length.
-
-    Same seeded source and same draw sequence, so for a given seed this
-    yields the identical offsets ``arrival_schedule(n, ...)`` would
-    (exponential draws consume the bit stream per value, so drawing in
-    blocks matches one bulk draw).
-    """
-    rng = np.random.default_rng(derive_seed(seed, "open-loop"))
-    t = 0.0
-    if burst == 1.0:
+    def poisson() -> Iterator[float]:
+        t = 0.0
         while True:
             offsets = t + np.cumsum(rng.exponential(1.0 / rate, size=4096))
             t = float(offsets[-1])
             yield from offsets.tolist()
-    while True:
-        t += float(rng.exponential(burst / rate))
-        for _ in range(int(rng.geometric(1.0 / burst))):
-            yield t
+
+    def bursty() -> Iterator[float]:
+        t = 0.0
+        while True:
+            t += float(rng.exponential(burst / rate))
+            yield from itertools.repeat(t, int(rng.geometric(1.0 / burst)))
+
+    return poisson() if burst == 1.0 else bursty()
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Exact nearest-rank percentile of an ascending list (0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, min(len(sorted_values), int(q * len(sorted_values) + 0.5)))
-    return sorted_values[rank - 1]
+def arrival_schedule(
+    n: int, rate: float, *, burst: float = 1.0, seed: int = 0
+) -> np.ndarray:
+    """The first ``n`` arrival offsets of a run: see :func:`_arrival_offsets`.
+
+    The same generator drives :func:`open_loop_replay`, so this is
+    exactly the schedule a run with the same ``rate``, ``burst`` and
+    ``seed`` sends, whatever its input kind.
+    """
+    if n < 1:
+        raise ConfigurationError(f"n must be >= 1, got {n}")
+    return np.fromiter(_arrival_offsets(rate, burst, seed), dtype=np.float64, count=n)
+
+
+class _ExactLatencies(list):
+    """Every observed value, behind the read interface of
+    :class:`~repro.obs.metrics.Histogram` (exact nearest-rank percentiles)."""
+
+    observe = list.append
+    count = property(len)
+
+    @property
+    def max(self) -> float:
+        return max(self, default=0.0)
+
+    @property
+    def mean(self) -> float:
+        return sum(self) / len(self) if self else 0.0
+
+    def percentile(self, q: float) -> float:
+        if not self:
+            return 0.0
+        self.sort()  # in place: a sorted list re-sorts in O(n)
+        return self[max(1, min(len(self), int(q * len(self) + 0.5))) - 1]
 
 
 @dataclass(frozen=True)
@@ -126,7 +148,7 @@ class SLOReport:
     burst: float
     connections: int
     frame: str
-    #: Exact client-observed latencies (scheduled arrival → response), ms.
+    #: Client-observed latencies (scheduled arrival → response), ms.
     p50_ms: float
     p90_ms: float
     p99_ms: float
@@ -220,12 +242,8 @@ async def open_loop_replay(
     (each connection is FIFO, so per-connection response matching is
     positional); sends never wait for completions, so queueing delay
     under overload lands in the measured latency instead of silently
-    throttling the offered load.
-
-    A :class:`~repro.traces.streaming.TraceStream` runs the open loop at
-    O(chunk) memory: arrivals are generated incrementally and latencies
-    aggregate into bounded histograms instead of exact lists (the report
-    sets ``approx_percentiles``; SLO violation counts stay exact).
+    throttling the offered load. A
+    :class:`~repro.traces.streaming.TraceStream` runs in O(chunk) memory.
     """
     if connections < 1:
         raise ConfigurationError(f"connections must be >= 1, got {connections}")
@@ -233,178 +251,37 @@ async def open_loop_replay(
         raise ConfigurationError(f"unknown frame {frame!r}; expected one of {list(FRAMES)}")
     if slo_ms is not None and slo_ms <= 0:
         raise ConfigurationError(f"slo_ms must be > 0, got {slo_ms}")
-    if isinstance(trace, TraceStream):
-        return await _open_loop_stream(
-            trace, host=host, port=port, rate=rate, burst=burst,
-            connections=connections, frame=frame, slo_ms=slo_ms,
-            timeout=timeout, seed=seed, fetch_stats=fetch_stats,
-        )
-    pages = as_page_array(trace).tolist()
-    offsets = arrival_schedule(len(pages), rate, burst=burst, seed=seed).tolist()
-
-    clients = [
-        await ServiceClient.connect(host, port, timeout=timeout, frame=frame)
-        for _ in range(connections)
-    ]
-    latencies: list[float] = []
-    lags: list[float] = []
-    counts = {"hits": 0, "errors": 0}
-    try:
-        start = time.perf_counter() + 0.01  # small lead so arrival 0 is not late
-        await asyncio.gather(
-            *(
-                _drive_connection(
-                    clients[c],
-                    [(offsets[i], pages[i]) for i in range(c, len(pages), connections)],
-                    start,
-                    latencies,
-                    lags,
-                    counts,
-                )
-                for c in range(connections)
-            )
-        )
-        seconds = time.perf_counter() - start
-        server_stats: dict[str, Any] = {}
-        if fetch_stats:
-            server_stats = await clients[0].stats()
-    finally:
-        await asyncio.gather(*(c.close() for c in clients), return_exceptions=True)
-
-    latencies.sort()
-    lags.sort()
-    lag_p99 = _percentile(lags, 0.99)
-    lag_bound = (
-        MAX_LAG_FRACTION * slo_ms / 1e3 if slo_ms is not None else MAX_LAG_SECONDS
-    )
-    violations = 0
-    if slo_ms is not None:
-        bound = slo_ms / 1e3
-        violations = sum(1 for v in latencies if v > bound)
-    return SLOReport(
-        ops=len(latencies),
-        hits=counts["hits"],
-        errors=counts["errors"],
-        seconds=seconds,
-        rate=rate,
-        burst=burst,
-        connections=connections,
-        frame=frame,
-        p50_ms=_percentile(latencies, 0.50) * 1e3,
-        p90_ms=_percentile(latencies, 0.90) * 1e3,
-        p99_ms=_percentile(latencies, 0.99) * 1e3,
-        p999_ms=_percentile(latencies, 0.999) * 1e3,
-        max_ms=(latencies[-1] if latencies else 0.0) * 1e3,
-        mean_ms=(sum(latencies) / len(latencies) if latencies else 0.0) * 1e3,
-        slo_ms=slo_ms,
-        violations=violations,
-        violation_fraction=violations / len(latencies) if latencies else 0.0,
-        lag_p99_ms=lag_p99 * 1e3,
-        lag_max_ms=(lags[-1] if lags else 0.0) * 1e3,
-        lag_ok=lag_p99 <= lag_bound,
-        server_stats=server_stats,
-    )
-
-
-async def _drive_connection(
-    client: ServiceClient,
-    items: list[tuple[float, int]],
-    start: float,
-    latencies: list[float],
-    lags: list[float],
-    counts: dict[str, int],
-) -> None:
-    """Send this connection's arrivals on schedule; read responses FIFO.
-
-    The reader runs as its own task so a slow response never delays the
-    next send — that decoupling *is* the open loop. Latency is measured
-    from the scheduled arrival, so send-queue time counts too.
-    """
-    if not items:
-        return
-    pending: deque[float] = deque()
-
-    async def _read_all() -> None:
-        for _ in range(len(items)):
-            response = await client._read_response()
-            now = time.perf_counter()
-            scheduled = pending.popleft()
-            latencies.append(now - (start + scheduled))
-            if not response.get("ok"):
-                counts["errors"] += 1
-            elif response.get("hit"):
-                counts["hits"] += 1
-
-    reader = asyncio.create_task(_read_all())
-    try:
-        for offset, key in items:
-            delay = start + offset - time.perf_counter()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            lags.append(max(0.0, time.perf_counter() - (start + offset)))
-            pending.append(offset)
-            await client._send(encode_request(Request("GET", key=key), frame=client.frame))
-        await reader
-    except BaseException:
-        reader.cancel()
-        raise
-
-
-async def _open_loop_stream(
-    stream: TraceStream,
-    *,
-    host: str,
-    port: int,
-    rate: float,
-    burst: float,
-    connections: int,
-    frame: str,
-    slo_ms: float | None,
-    timeout: float | None,
-    seed: int,
-    fetch_stats: bool,
-) -> SLOReport:
-    """Constant-memory open loop: a feeder task pulls keys off the stream
-    and fans them out to per-connection bounded queues; each connection
-    drains its queue on schedule. Latency/lag land in log₂ histograms
-    (O(1) memory), SLO violations are counted exactly per response.
-    """
-    clients = [
-        await ServiceClient.connect(host, port, timeout=timeout, frame=frame)
-        for _ in range(connections)
-    ]
-    # 30 buckets from 1 µs: overflow starts around 9 minutes of latency
-    lat_hist = Histogram(base=1e-6, num_buckets=30)
-    lag_hist = Histogram(base=1e-6, num_buckets=30)
+    offsets = _arrival_offsets(rate, burst, seed)
+    streamed = isinstance(trace, TraceStream)
+    chunks: Iterable[np.ndarray]
+    if streamed:
+        chunks = trace.chunks()
+        # 30 buckets from 1 µs: overflow starts around 9 minutes of latency
+        latencies: Any = Histogram(base=1e-6, num_buckets=30)
+        lags: Any = Histogram(base=1e-6, num_buckets=30)
+    else:
+        chunks = (as_page_array(trace),)
+        latencies, lags = _ExactLatencies(), _ExactLatencies()
+    slo_bound = slo_ms / 1e3 if slo_ms is not None else math.inf
     counts = {"hits": 0, "errors": 0, "violations": 0}
-    slo_bound = slo_ms / 1e3 if slo_ms is not None else None
-    queues: list[asyncio.Queue] = [asyncio.Queue(maxsize=2048) for _ in range(connections)]
 
-    async def _feed() -> None:
-        offsets = _arrival_offsets(rate, burst, seed)
-        i = 0
-        for chunk in stream.chunks():
-            for key in chunk.tolist():
-                await queues[i % connections].put((next(offsets), key))
-                i += 1
-        for q in queues:
-            await q.put(None)
-
+    clients: list[ServiceClient] = []
     try:
+        for _ in range(connections):
+            clients.append(await ServiceClient.connect(host, port, timeout=timeout, frame=frame))
+        pending: list[asyncio.Queue] = [asyncio.Queue() for _ in clients]
         start = time.perf_counter() + 0.01  # small lead so arrival 0 is not late
-        tasks = [asyncio.create_task(_feed())] + [
-            asyncio.create_task(
-                _drive_connection_queue(
-                    clients[c], queues[c], start, lat_hist, lag_hist, counts, slo_bound
-                )
-            )
-            for c in range(connections)
+        tasks = [asyncio.create_task(_send(clients, pending, chunks, offsets, start, lags))]
+        tasks += [
+            asyncio.create_task(_read(client, queue, latencies, slo_bound, counts))
+            for client, queue in zip(clients, pending)
         ]
         try:
             await asyncio.gather(*tasks)
         except BaseException:
             for task in tasks:
                 task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
             raise
         seconds = time.perf_counter() - start
         server_stats: dict[str, Any] = {}
@@ -413,11 +290,11 @@ async def _open_loop_stream(
     finally:
         await asyncio.gather(*(c.close() for c in clients), return_exceptions=True)
 
-    lag_p99 = lag_hist.percentile(0.99)
+    lag_p99 = lags.percentile(0.99)
     lag_bound = (
         MAX_LAG_FRACTION * slo_ms / 1e3 if slo_ms is not None else MAX_LAG_SECONDS
     )
-    ops = lat_hist.count
+    ops = latencies.count
     return SLOReport(
         ops=ops,
         hits=counts["hits"],
@@ -427,75 +304,72 @@ async def _open_loop_stream(
         burst=burst,
         connections=connections,
         frame=frame,
-        p50_ms=lat_hist.percentile(0.50) * 1e3,
-        p90_ms=lat_hist.percentile(0.90) * 1e3,
-        p99_ms=lat_hist.percentile(0.99) * 1e3,
-        p999_ms=lat_hist.percentile(0.999) * 1e3,
-        max_ms=lat_hist.max * 1e3,
-        mean_ms=lat_hist.mean * 1e3,
+        p50_ms=latencies.percentile(0.50) * 1e3,
+        p90_ms=latencies.percentile(0.90) * 1e3,
+        p99_ms=latencies.percentile(0.99) * 1e3,
+        p999_ms=latencies.percentile(0.999) * 1e3,
+        max_ms=latencies.max * 1e3,
+        mean_ms=latencies.mean * 1e3,
         slo_ms=slo_ms,
         violations=counts["violations"],
         violation_fraction=counts["violations"] / ops if ops else 0.0,
         lag_p99_ms=lag_p99 * 1e3,
-        lag_max_ms=lag_hist.max * 1e3,
+        lag_max_ms=lags.max * 1e3,
         lag_ok=lag_p99 <= lag_bound,
         server_stats=server_stats,
-        approx_percentiles=True,
+        approx_percentiles=streamed,
     )
 
 
-async def _drive_connection_queue(
-    client: ServiceClient,
-    feed: asyncio.Queue,
+async def _send(
+    clients: list[ServiceClient],
+    pending: list[asyncio.Queue],
+    chunks: Iterable[np.ndarray],
+    offsets: Iterator[float],
     start: float,
-    lat_hist: Histogram,
-    lag_hist: Histogram,
-    counts: dict[str, int],
-    slo_bound: float | None,
+    lags: Any,
 ) -> None:
-    """Queue-fed variant of :func:`_drive_connection`.
+    """Release key *i* at its scheduled arrival on ``clients[i % n]``.
 
-    The reader task pairs responses with scheduled offsets through a
-    second (unbounded-but-small) queue: the sender enqueues an offset
-    before each send and a sentinel at the end, so the reader reads
-    exactly one response per real entry — no total count needed up
-    front, no race on shutdown.
+    Never waits for a response — the readers run as their own tasks, and
+    that decoupling *is* the open loop. Each connection's reader gets the
+    scheduled time before the send and a ``None`` after the last one.
     """
-    pending: asyncio.Queue = asyncio.Queue()
+    keys = itertools.chain.from_iterable(chunk.tolist() for chunk in chunks)
+    lanes = itertools.cycle(zip(clients, pending))
+    for key, offset, (client, queue) in zip(keys, offsets, lanes):
+        scheduled = start + offset
+        delay = scheduled - time.perf_counter()
+        if delay > 0:
+            await asyncio.sleep(delay)
+        lags.observe(max(0.0, time.perf_counter() - scheduled))
+        queue.put_nowait(scheduled)
+        await client._send(encode_request(Request("GET", key=key), frame=client.frame))
+    for queue in pending:
+        queue.put_nowait(None)
 
-    async def _read_all() -> None:
-        while True:
-            scheduled = await pending.get()
-            if scheduled is None:
-                return
-            response = await client._read_response()
-            latency = time.perf_counter() - (start + scheduled)
-            lat_hist.observe(latency)
-            if slo_bound is not None and latency > slo_bound:
-                counts["violations"] += 1
-            if not response.get("ok"):
-                counts["errors"] += 1
-            elif response.get("hit"):
-                counts["hits"] += 1
 
-    reader = asyncio.create_task(_read_all())
-    try:
-        while True:
-            item = await feed.get()
-            if item is None:
-                break
-            offset, key = item
-            delay = start + offset - time.perf_counter()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            lag_hist.observe(max(0.0, time.perf_counter() - (start + offset)))
-            pending.put_nowait(offset)
-            await client._send(encode_request(Request("GET", key=key), frame=client.frame))
-        pending.put_nowait(None)
-        await reader
-    except BaseException:
-        reader.cancel()
-        raise
+async def _read(
+    client: ServiceClient,
+    pending: asyncio.Queue,
+    latencies: Any,
+    slo_bound: float,
+    counts: dict[str, int],
+) -> None:
+    """Pair one connection's responses, FIFO, with their scheduled arrivals.
+
+    Latency runs from the scheduled arrival, so send-queue time counts too.
+    """
+    while (scheduled := await pending.get()) is not None:
+        response = await client._read_response()
+        latency = time.perf_counter() - scheduled
+        latencies.observe(latency)
+        if latency > slo_bound:
+            counts["violations"] += 1
+        if not response.get("ok"):
+            counts["errors"] += 1
+        elif response.get("hit"):
+            counts["hits"] += 1
 
 
 def run_open_loop(trace: "Trace | np.ndarray | TraceStream", **kwargs: Any) -> SLOReport:

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.registry import make_policy
 from repro.errors import ProtocolError, ServiceError
 from repro.service.client import ServiceClient
-from repro.service.framing import FrameSplitter
+from repro.service.framing import FrameSplitter, read_binary_frame
 from repro.service.protocol import (
     BINARY_HEADER_SIZE,
     BINARY_TAG,
@@ -121,6 +121,36 @@ class TestFrameSplitter:
     def test_rejects_tiny_max_frame(self):
         with pytest.raises(ValueError):
             FrameSplitter(max_frame=BINARY_HEADER_SIZE)
+
+
+class TestReadBinaryFrame:
+    @staticmethod
+    def read(data: bytes) -> bytes:
+        async def scenario():
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            reader.feed_eof()
+            return await read_binary_frame(reader)
+
+        return asyncio.run(scenario())
+
+    def test_frame_then_clean_eof(self):
+        assert self.read(encode_frame({"ok": True})) == b'{"ok":true}'
+        assert self.read(b"") == b""
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            (b"{" + (2).to_bytes(4, "big") + b"{}", "tag"),
+            (bytes([BINARY_TAG]) + (0).to_bytes(4, "big"), "empty"),
+            (bytes([BINARY_TAG]) + MAX_FRAME_BYTES.to_bytes(4, "big"), "exceeds"),
+            (bytes([BINARY_TAG, 0]), "truncated binary frame: connection closed after 2 bytes"),
+            (bytes([BINARY_TAG]) + (9).to_bytes(4, "big") + b"{}", "closed after 7 bytes"),
+        ],
+    )
+    def test_malformed_frames_raise_protocol_error(self, data, match):
+        with pytest.raises(ProtocolError, match=match):
+            self.read(data)
 
 
 class TestBinaryEndToEnd:

@@ -14,12 +14,14 @@ from repro.errors import ConfigurationError
 from repro.service.openloop import (
     MAX_LAG_SECONDS,
     SLOReport,
+    _arrival_offsets,
     arrival_schedule,
     open_loop_replay,
     run_open_loop,
 )
 from repro.service.server import running_server
 from repro.service.store import PolicyStore
+from repro.traces.streaming import ZipfTraceStream
 
 
 class TestArrivalSchedule:
@@ -52,6 +54,16 @@ class TestArrivalSchedule:
         c = arrival_schedule(500, 2000.0, burst=4.0, seed=10)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("burst", [1.0, 4.0])
+    @pytest.mark.parametrize("n", [1, 4097, 10_000])
+    def test_streamed_offsets_are_the_schedule(self, burst, n):
+        # a streamed run draws arrivals as it sends; an array run must get
+        # the very same offsets, bit for bit, across the 4096-draw blocks
+        schedule = arrival_schedule(n, 2000.0, burst=burst, seed=9)
+        offsets = _arrival_offsets(2000.0, burst, seed=9)
+        streamed = np.array([next(offsets) for _ in range(n)])
+        assert np.array_equal(schedule, streamed)
 
 
 class TestSLOReport:
@@ -103,13 +115,22 @@ class TestOpenLoopReplay:
         return asyncio.run(scenario())
 
     def test_validation(self):
-        trace = repro.zipf_trace(256, 100, seed=1)
-        with pytest.raises(ConfigurationError):
-            self.replay(trace, rate=500.0, connections=0)
-        with pytest.raises(ConfigurationError):
-            self.replay(trace, rate=500.0, frame="smoke-signals")
-        with pytest.raises(ConfigurationError):
-            self.replay(trace, rate=500.0, slo_ms=-1.0)
+        # port 1 has no server: every bad knob must fail before a connect,
+        # for an array and a stream alike
+        inputs = (repro.zipf_trace(256, 100, seed=1), ZipfTraceStream(256, 100, seed=1))
+        bad = (
+            {"connections": 0},
+            {"frame": "smoke-signals"},
+            {"slo_ms": -1.0},
+            {"rate": 0.0},
+            {"rate": -5.0},
+            {"burst": 0.5},
+        )
+        for trace in inputs:
+            for kwargs in bad:
+                kwargs = {"rate": 500.0, **kwargs}
+                with pytest.raises(ConfigurationError):
+                    asyncio.run(open_loop_replay(trace, host="127.0.0.1", port=1, **kwargs))
 
     @pytest.mark.parametrize("frame", ["ndjson", "binary"])
     def test_all_requests_answered_and_counted(self, frame):
