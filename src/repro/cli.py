@@ -22,7 +22,10 @@ Experiment runs print their rows as markdown tables and can persist CSV;
 ``simulate`` and ``mrc`` make the library usable as a one-shot trace
 analysis tool on saved ``.npz`` traces (see ``repro.save_trace``);
 ``serve``/``loadgen`` put a policy behind live TCP traffic (see
-``docs/service.md``). A typed library error (:class:`~repro.errors.ReproError`:
+``docs/service.md``). ``run``/``run-all`` apply each experiment's
+``check`` to its table: every failed predicate prints one ``check failed:
+<ID>: <predicate>`` line on stderr and the command exits 1 once all
+experiments have run. A typed library error (:class:`~repro.errors.ReproError`:
 an unknown policy, a malformed trace, ...) prints one ``error: ...`` line
 on stderr and exits 2.
 """
@@ -35,7 +38,7 @@ import time
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.experiments.registry import available_experiments, run_experiment
+from repro.experiments.registry import available_experiments, get_check, run_experiment
 
 __all__ = ["main", "build_parser"]
 
@@ -393,7 +396,12 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _run_one(experiment: str, args: argparse.Namespace) -> None:
+def _run_one(experiment: str, args: argparse.Namespace) -> bool:
+    """Run, print and save one experiment, then apply its ``check``.
+
+    Prints one ``check failed: <ID>: <predicate>`` line on stderr per
+    failed predicate and returns whether the table passed.
+    """
     from repro.experiments.common import resolve_fast
 
     start = time.perf_counter()
@@ -412,6 +420,10 @@ def _run_one(experiment: str, args: argparse.Namespace) -> None:
         path = args.out / f"{experiment.lower()}_{args.scale}.csv"
         table.to_csv(path)
         print(f"wrote {path}")
+    failed = get_check(experiment)(table)
+    for predicate in failed:
+        print(f"check failed: {experiment}: {predicate}", file=sys.stderr)
+    return not failed
 
 
 def _parse_stream_spec(spec: str, n_min: int, n_max: int, flag: str) -> list[float]:
@@ -988,12 +1000,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(exp_id)
         return 0
     if args.command == "run":
-        _run_one(args.experiment, args)
-        return 0
+        return 0 if _run_one(args.experiment, args) else 1
     if args.command == "run-all":
-        for exp_id in available_experiments():
-            _run_one(exp_id, args)
-        return 0
+        passed = [_run_one(exp_id, args) for exp_id in available_experiments()]
+        return 0 if all(passed) else 1
     if args.command == "simulate":
         return _cmd_simulate(args)
     if args.command == "convert":

@@ -1,27 +1,19 @@
 """Registered experiments: one per theorem/lemma of the paper.
 
 Each experiment module exposes ``run(scale=..., seed=..., workers=...) ->
-ResultsTable`` and a module-level docstring stating the paper anchor, the
+ResultsTable``, ``check(table) -> list[str]`` (the failed predicates of its
+verdict) and a module-level docstring stating the paper anchor, the
 prediction, and how the rows validate it. The registry maps stable
-experiment ids (used by the CLI and the benchmarks) to these runners.
+experiment ids (used by the CLI) to these runners and checks.
 
-| id                | paper anchor        |
-|-------------------|---------------------|
-| T2-LOWERBOUND     | Theorem 1/2, Cor. 1 |
-| T2-SEMIUNIFORM    | Theorem 2 (semi-uniform generality) |
-| T3-TWORANDOM      | Theorem 3           |
-| T4-HEATSINK       | Theorem 4, Cor. 3   |
-| L5-ORIENT         | Lemma 5, Cor. 2     |
-| L6-COMPONENTS     | Lemma 6             |
-| HEAT-DISSIPATION  | §1.1 Part 2, Lemma 7|
-| ASSOC-SWEEP       | intro motivation    |
-| ABLATION          | §5 design knobs     |
+The id → paper-anchor index is DESIGN.md §5.
 """
 
 from repro.experiments.registry import (
     available_experiments,
+    get_check,
     get_experiment,
     run_experiment,
 )
 
-__all__ = ["available_experiments", "get_experiment", "run_experiment"]
+__all__ = ["available_experiments", "get_check", "get_experiment", "run_experiment"]

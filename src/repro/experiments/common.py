@@ -3,21 +3,27 @@
 Every experiment supports three *scales*:
 
 - ``smoke`` — seconds; used by the test suite to assert directional claims;
-- ``small`` — tens of seconds; the default for benches and the CLI, and
-  the configuration EXPERIMENTS.md records;
+- ``small`` — tens of seconds; the CLI default, and the configuration
+  EXPERIMENTS.md and the committed ``results/`` record;
 - ``full``  — minutes; larger sizes, longer traces and wider parameter grids.
 
 Scale tables are plain dicts so modules stay declarative about what each
 scale means.
+
+Every experiment also exposes ``check(table) -> list[str]``: the
+predicates its EXPERIMENTS.md verdict rests on, returning the ones that
+fail (an empty list is a pass). They hold at ``smoke`` and ``small``;
+the CLI applies them after every ``run``/``run-all``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+import functools
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.errors import ConfigurationError, ExperimentError
 
-__all__ = ["pick_scale", "resolve_fast", "SCALES"]
+__all__ = ["pick_scale", "predicates", "resolve_fast", "SCALES"]
 
 SCALES = ("smoke", "small", "full")
 
@@ -51,3 +57,20 @@ def pick_scale(table: Mapping[str, Mapping[str, Any]], scale: str) -> dict[str, 
             f"unknown scale {scale!r}; available: {', '.join(sorted(table))}"
         )
     return dict(table[scale])
+
+
+def predicates(gen: Callable[[Any], Iterator[tuple[str, bool]]]) -> Callable[[Any], list[str]]:
+    """Turn a generator of ``(predicate, holds)`` pairs into a ``check``.
+
+    The returned ``check(table)`` lists the predicates that do not hold,
+    in the order the generator yields them; ``[]`` means the table passes.
+    An empty table fails one predicate of its own before any other runs.
+    """
+
+    @functools.wraps(gen)
+    def check(table: Sequence[Mapping[str, Any]]) -> list[str]:
+        if not len(table):
+            return ["the table has rows"]
+        return [predicate for predicate, holds in gen(table) if not holds]
+
+    return check

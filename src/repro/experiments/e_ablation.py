@@ -36,12 +36,12 @@ import numpy as np
 from repro.core.assoc.d_random import DRandomCache
 from repro.core.assoc.heatsink import HeatSinkLRU
 from repro.core.fully.lru import LRUCache
-from repro.experiments.common import pick_scale
+from repro.experiments.common import pick_scale, predicates
 from repro.rng import SeedLike, derive_seed
 from repro.sim.results import ResultsTable
 from repro.traces.phases import phase_change_trace, working_set_trace
 
-__all__ = ["run", "EXPERIMENT_ID"]
+__all__ = ["run", "check", "EXPERIMENT_ID"]
 
 EXPERIMENT_ID = "ABLATION"
 
@@ -142,3 +142,17 @@ def run(
         add("2-RANDOM (occupancy-aware)", "sink_policy", two_rand_aware)
 
     return table
+
+
+@predicates
+def check(table: ResultsTable):
+    """The sink is load-bearing: p = 0 re-melts the saturated bins."""
+    sat = [r for r in table if r["workload"] == "saturated"]
+    baseline = [r["misses_post_warm"] for r in sat if r["knob"] == "baseline"]
+    no_sink = [r["misses_post_warm"] for r in sat if r["variant"].startswith("p=0 ")]
+    yield "saturated: baseline misses < 0.2 * p=0 (no sink) misses", (
+        bool(baseline and no_sink) and baseline[0] < 0.2 * no_sink[0])
+    yield "every heat-sink variant: ratio_vs_lru < 1", all(
+        r["ratio_vs_lru"] < 1 for r in table if r["knob"] != "sink_policy")
+    yield "rows cover every knob", {r["knob"] for r in table} == {
+        "baseline", "bin_size", "sink_prob", "sink_size", "sink_policy"}

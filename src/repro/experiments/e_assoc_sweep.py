@@ -37,13 +37,13 @@ from repro.core.assoc.tree_plru import TreePLRUCache
 from repro.core.assoc.victim import VictimCache
 from repro.core.fully.belady import BeladyCache
 from repro.core.fully.lru import LRUCache
-from repro.experiments.common import pick_scale
+from repro.experiments.common import pick_scale, predicates
 from repro.rng import SeedLike, derive_seed
 from repro.sim.results import ResultsTable
 from repro.traces.phases import phase_change_trace
 from repro.traces.synthetic import zipf_trace
 
-__all__ = ["run", "EXPERIMENT_ID"]
+__all__ = ["run", "check", "EXPERIMENT_ID"]
 
 EXPERIMENT_ID = "ASSOC-SWEEP"
 
@@ -129,3 +129,18 @@ def run(
                     vs_full_lru=float(rate / max(lru_rate, 1e-12)),
                 )
     return table
+
+
+@predicates
+def check(table: ResultsTable):
+    """d-LRU converges toward full LRU as d grows; OPT anchors below LRU."""
+    dlru = [
+        {r["d"]: r["vs_full_lru"] for r in group if r["design"] == "d-LRU"}
+        for group in table.group_by("workload").values()
+    ]
+    yield "d-LRU at the largest d within 10% (+0.05) of its best", all(
+        vs[max(vs)] <= min(vs.values()) * 1.1 + 0.05 for vs in dlru)
+    yield "d-LRU: direct-mapped no better than d=4", all(vs[1] >= vs[4] for vs in dlru)
+    yield "d-LRU at d=4 within 1.3x of full LRU", all(vs[4] < 1.3 for vs in dlru)
+    yield "OPT(full) <= LRU(full)", all(
+        r["vs_full_lru"] <= 1 + 1e-9 for r in table if r["design"] == "OPT(full)")

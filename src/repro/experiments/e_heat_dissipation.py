@@ -25,13 +25,13 @@ import numpy as np
 from repro.analysis.heat import heat_timeline
 from repro.core.assoc.d_lru import PLruCache
 from repro.core.assoc.d_random import DRandomCache
-from repro.experiments.common import pick_scale
+from repro.experiments.common import pick_scale, predicates
 from repro.rng import SeedLike, derive_seed
 from repro.sim.results import ResultsTable
 from repro.traces.adversarial import build_theorem2_sequence
 from repro.traces.base import Trace
 
-__all__ = ["run", "EXPERIMENT_ID"]
+__all__ = ["run", "check", "EXPERIMENT_ID"]
 
 EXPERIMENT_ID = "HEAT-DISSIPATION"
 
@@ -116,3 +116,19 @@ def run(
                 pr_misses_gt_i=float(tail[i]),
             )
     return table
+
+
+@predicates
+def check(table: ResultsTable):
+    """2-RANDOM cools below 2-LRU; 2-LRU keeps perpetual missers."""
+    rate: dict[str, float] = {}  # each policy's last-window miss rate (rows ascend in window)
+    tail: dict[str, dict[int, float]] = {"2-LRU": {}, "2-RANDOM": {}}
+    for r in table:
+        if r["kind"] == "timeline":
+            rate[r["policy"]] = r["miss_rate"]
+        else:
+            tail[r["policy"]][r["i"]] = r["pr_misses_gt_i"]
+    lru, rnd = tail["2-LRU"], tail["2-RANDOM"]
+    yield "final-window miss_rate: 2-RANDOM < 2-LRU", rate.get("2-RANDOM", 1) < rate.get("2-LRU", 0)
+    yield "2-LRU keeps perpetual missers: Pr[misses > i_max] > 0", bool(lru) and lru[max(lru)] > 0
+    yield "2-RANDOM's miss tail decays: Pr[> 2] < Pr[> 1]", rnd.get(2, 1) < rnd.get(1, 0)

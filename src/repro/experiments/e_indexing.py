@@ -25,13 +25,13 @@ import numpy as np
 from repro.core.assoc.d_lru import PLruCache
 from repro.core.assoc.hashdist import ModuloSetHashes, SetAssociativeHashes, SkewedHashes
 from repro.core.fully.lru import LRUCache
-from repro.experiments.common import pick_scale
+from repro.experiments.common import pick_scale, predicates
 from repro.rng import SeedLike, derive_seed
 from repro.sim.results import ResultsTable
 from repro.traces.addresses import matrix_traversal, strided_walk
 from repro.traces.synthetic import zipf_trace
 
-__all__ = ["run", "EXPERIMENT_ID"]
+__all__ = ["run", "check", "EXPERIMENT_ID"]
 
 EXPERIMENT_ID = "INDEXING"
 
@@ -101,3 +101,15 @@ def run(scale: str = "small", *, seed: SeedLike = 0, workers: int | None = None)
             if row["workload"] == workload and "vs_full_lru" not in row:
                 row["vs_full_lru"] = float(row["miss_rate"] / max(lru_rate, 1e-12))
     return table
+
+
+@predicates
+def check(table: ResultsTable):
+    """Modulo indexing melts on aligned strides; the index barely matters on Zipf."""
+    by = {(r["workload"], r["design"]): r["miss_rate"] for r in table}
+    aligned, matrix = "strided(aligned)", "matrix(col-major)"
+    yield f"{aligned}: modulo-set > 5 * hashed-set", (
+        by[aligned, "modulo-set"] > 5 * by[aligned, "hashed-set"])
+    yield f"{matrix}: modulo-set > 3 * skewed", by[matrix, "modulo-set"] > 3 * by[matrix, "skewed"]
+    zipf = [v for (w, _), v in by.items() if w == "zipf(control)"]
+    yield "zipf(control): max miss_rate < 1.2 * min", max(zipf) < 1.2 * min(zipf)

@@ -14,12 +14,12 @@ probability must shoot toward 1.
 
 from __future__ import annotations
 
-from repro.experiments.common import pick_scale
+from repro.experiments.common import pick_scale, predicates
 from repro.graphtools.orientation import orientability_probability
 from repro.rng import SeedLike, derive_seed
 from repro.sim.results import ResultsTable
 
-__all__ = ["run", "EXPERIMENT_ID"]
+__all__ = ["run", "check", "EXPERIMENT_ID"]
 
 EXPERIMENT_ID = "L5-ORIENT"
 
@@ -53,3 +53,12 @@ def run(scale: str = "small", *, seed: SeedLike = 0, workers: int | None = None)
                 in_lemma_regime=beta > 2.0,
             )
     return table
+
+
+@predicates
+def check(table: ResultsTable):
+    """Orientable inside the lemma regime, collapsed well below it."""
+    yield "lemma regime: pr_orientable >= 0.9", all(
+        r["pr_orientable"] >= 0.9 for r in table if r["in_lemma_regime"])
+    yield "beta <= 1.6: pr_orientable <= 0.3", all(
+        r["pr_orientable"] <= 0.3 for r in table if r["beta"] <= 1.6)

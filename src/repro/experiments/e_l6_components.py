@@ -22,14 +22,14 @@ import math
 
 import numpy as np
 
-from repro.experiments.common import pick_scale
+from repro.experiments.common import pick_scale, predicates
 from repro.graphtools.components import component_of_edge, component_size_tail
 from repro.graphtools.random_graph import sample_random_multigraph
 from repro.rng import SeedLike, spawn_seeds
 from repro.sim.results import ResultsTable
 from repro.theory.cuckoo import edge_component_tail, mean_two_pow_component
 
-__all__ = ["run", "EXPERIMENT_ID"]
+__all__ = ["run", "check", "EXPERIMENT_ID"]
 
 EXPERIMENT_ID = "L6-COMPONENTS"
 
@@ -97,3 +97,14 @@ def run(scale: str = "small", *, seed: SeedLike = 0, workers: int | None = None)
     # control: heavier load fattens the tail (the bound is load-specific)
     _tail_rows(table, "control (n/4)", n, n // 4, trials, max_size, seed)
     return table
+
+
+@predicates
+def check(table: ResultsTable):
+    """Lemma 6's tail bound and a bounded E[2^|C|] hold at the lemma load only."""
+    lemma = [r for r in table if r["load"].startswith("lemma")]
+    yield "lemma load: pr_component_ge_i <= 1.5 * lemma6_bound", bool(lemma) and all(
+        r["pr_component_ge_i"] <= 1.5 * r["lemma6_bound"] for r in lemma)
+    yield "lemma load: mean_2_pow_C < 20", all(r["mean_2_pow_C"] < 20 for r in lemma)
+    yield "the control load escapes the bound somewhere", any(
+        not r["within_bound"] for r in table if r["load"].startswith("control"))

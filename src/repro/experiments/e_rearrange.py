@@ -29,14 +29,14 @@ from repro.core.assoc.d_lru import PLruCache
 from repro.core.assoc.d_random import DRandomCache
 from repro.core.assoc.heatsink import HeatSinkLRU
 from repro.core.assoc.rearrange import RearrangingCache
-from repro.experiments.common import pick_scale
+from repro.experiments.common import pick_scale, predicates
 from repro.rng import SeedLike, derive_seed
 from repro.sim.results import ResultsTable
 from repro.traces.adversarial import build_theorem2_sequence
 from repro.traces.phases import working_set_trace
 from repro.traces.synthetic import zipf_trace
 
-__all__ = ["run", "EXPERIMENT_ID"]
+__all__ = ["run", "check", "EXPERIMENT_ID"]
 
 EXPERIMENT_ID = "REARRANGE"
 
@@ -98,3 +98,14 @@ def run(scale: str = "small", *, seed: SeedLike = 0, workers: int | None = None)
                 / max(1, result.num_accesses),
             )
     return table
+
+
+@predicates
+def check(table: ResultsTable):
+    """The paper's designs never move pages; rearrangement's wins do."""
+    groups = [{r["design"]: r for r in g} for g in table.group_by("workload").values()]
+    yield "2-LRU and HEAT-SINK make zero moves", all(
+        g[d]["moves_per_access"] == 0 for g in groups for d in ("2-LRU", "HEAT-SINK"))
+    yield "REARRANGE's >10% wins over 2-LRU move > 0.01 pages/access", all(
+        g["REARRANGE(2,bfs64)"]["moves_per_access"] > 0.01 for g in groups
+        if g["REARRANGE(2,bfs64)"]["steady_miss_rate"] < 0.9 * g["2-LRU"]["steady_miss_rate"])

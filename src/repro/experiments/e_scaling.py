@@ -25,13 +25,13 @@ import numpy as np
 from repro.analysis.stats import bootstrap_ci
 from repro.core.assoc.d_lru import PLruCache
 from repro.core.assoc.d_random import DRandomCache
-from repro.experiments.common import pick_scale
+from repro.experiments.common import pick_scale, predicates
 from repro.rng import SeedLike, derive_seed
 from repro.sim.results import ResultsTable
 from repro.sim.sweep import ParameterGrid, run_sweep
 from repro.traces.adversarial import build_theorem2_sequence
 
-__all__ = ["run", "EXPERIMENT_ID", "scaling_task"]
+__all__ = ["run", "check", "EXPERIMENT_ID", "scaling_task"]
 
 EXPERIMENT_ID = "SCALING"
 
@@ -110,3 +110,11 @@ def run(
             melt_ratio_ci_hi=ratio_hi,
         )
     return table
+
+
+@predicates
+def check(table: ResultsTable):
+    """The 2-LRU / 2-RANDOM separation holds at every n."""
+    yield "late_2lru_mean > late_2random_mean", all(
+        r["late_2lru_mean"] > r["late_2random_mean"] for r in table)
+    yield "melt_ratio_mean > 1.5", all(r["melt_ratio_mean"] > 1.5 for r in table)

@@ -30,12 +30,12 @@ from repro.core.assoc.hashdist import (
     UniformHashes,
 )
 from repro.core.fully.belady import BeladyCache
-from repro.experiments.common import pick_scale
+from repro.experiments.common import pick_scale, predicates
 from repro.rng import SeedLike, derive_seed
 from repro.sim.results import ResultsTable
 from repro.traces.adversarial import build_theorem2_sequence
 
-__all__ = ["run", "EXPERIMENT_ID"]
+__all__ = ["run", "check", "EXPERIMENT_ID"]
 
 EXPERIMENT_ID = "T2-SEMIUNIFORM"
 
@@ -94,3 +94,14 @@ def run(
             miss_ratio_post_t0=float(miss_after.sum() / max(1, opt_after)),
         )
     return table
+
+
+@predicates
+def check(table: ResultsTable):
+    """Every distribution melts, semi-uniform or not."""
+    semi = [r for r in table if r["semi_uniform"]]
+    yield "at least 3 semi-uniform distributions and a non-semi-uniform one", (
+        len(semi) >= 3 and len(semi) < len(table))
+    yield "every distribution melts: late_misses_per_round > 5", all(
+        r["late_misses_per_round"] > 5 for r in table)
+    yield "semi-uniform: miss_ratio_post_t0 > 1", all(r["miss_ratio_post_t0"] > 1 for r in semi)

@@ -31,12 +31,12 @@ import numpy as np
 
 from repro.core.assoc.d_lru import PLruCache
 from repro.core.fully.belady import BeladyCache
-from repro.experiments.common import pick_scale
+from repro.experiments.common import pick_scale, predicates
 from repro.rng import SeedLike, derive_seed
 from repro.sim.results import ResultsTable
 from repro.traces.adversarial import build_theorem2_sequence, find_happy_pairs
 
-__all__ = ["run", "EXPERIMENT_ID"]
+__all__ = ["run", "check", "EXPERIMENT_ID"]
 
 EXPERIMENT_ID = "T2-LOWERBOUND"
 
@@ -109,3 +109,31 @@ def run(
                 row[f"ratio_at_K{k}"] = float(cum / max(1, opt_after))
             table.append(**row)
     return table
+
+
+def _ratios(row) -> np.ndarray:
+    """A row's ``ratio_at_K*`` values, K ascending (the order :func:`run` writes)."""
+    return np.array([v for k, v in row.items() if k.startswith("ratio_at_K")])
+
+
+def _late_by_d(group) -> list[float]:
+    return [r["late_misses_per_round"] for r in sorted(group, key=lambda r: r["d"])]
+
+
+@predicates
+def check(table: ResultsTable):
+    """The melt and the ratio growth at d = 2, and their weakening in d.
+
+    At laptop n the melt rate ``(log n)^-O(d)`` is measurable only at
+    d = 2 (d = 3 leaves ~2 misses/round, d = 4 none), so only d = 2 must melt.
+    """
+    d2 = [r for r in table if r["d"] == 2]
+    yield "ratio_at_K never falls as K grows", all((np.diff(_ratios(r)) >= 0).all() for r in table)
+    yield "OPT pays only the cold misses: opt_misses_post_t0 == opt_cold_misses_expected", all(
+        r["opt_misses_post_t0"] == r["opt_cold_misses_expected"] for r in table)
+    yield "d=2 melts: late_misses_per_round > 5", bool(d2) and all(
+        r["late_misses_per_round"] > 5 for r in d2)
+    yield "d=2 ratio_at_K grows strictly with K", all((np.diff(_ratios(r)) > 0).all() for r in d2)
+    yield "late_misses_per_round falls as d grows, at every n", all(
+        late == sorted(late, reverse=True) and (len(late) == 1 or late[-1] < late[0])
+        for late in map(_late_by_d, table.group_by("n").values()))

@@ -27,14 +27,14 @@ import numpy as np
 from repro.core.assoc.d_lru import PLruCache
 from repro.core.assoc.d_random import DRandomCache
 from repro.core.fully.belady import BeladyCache
-from repro.experiments.common import pick_scale
+from repro.experiments.common import pick_scale, predicates
 from repro.rng import SeedLike, derive_seed
 from repro.sim.results import ResultsTable
 from repro.traces.adversarial import build_theorem2_sequence
 from repro.traces.phases import phase_change_trace
 from repro.traces.synthetic import loop_mixture_trace, zipf_trace
 
-__all__ = ["run", "EXPERIMENT_ID"]
+__all__ = ["run", "check", "EXPERIMENT_ID"]
 
 EXPERIMENT_ID = "T3-TWORANDOM"
 
@@ -119,3 +119,13 @@ def run(
                 additive_scale=float(len(trace) / n),
             )
     return table
+
+
+@predicates
+def check(table: ResultsTable):
+    """2-RANDOM heals the adversarial melt and stays O(1) vs OPT elsewhere."""
+    adversarial = [r for r in table if r["workload"].startswith("adversarial")]
+    yield "adversarial late misses/round: 2-RANDOM < 2-LRU", bool(adversarial) and all(
+        r["late_misses_per_round_2random"] < r["late_misses_per_round_2lru"] for r in adversarial)
+    yield "other workloads: ratio_2random_vs_opt < 3", all(
+        r["ratio_2random_vs_opt"] < 3 for r in table if not r["workload"].startswith("adversarial"))

@@ -23,13 +23,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.prooftrace import trace_theorem4_accounting
-from repro.experiments.common import pick_scale
+from repro.experiments.common import pick_scale, predicates
 from repro.rng import SeedLike, derive_seed
 from repro.sim.results import ResultsTable
 from repro.traces.phases import phase_change_trace
 from repro.traces.synthetic import zipf_trace
 
-__all__ = ["run", "EXPERIMENT_ID"]
+__all__ = ["run", "check", "EXPERIMENT_ID"]
 
 EXPERIMENT_ID = "T4-ACCOUNTING"
 
@@ -108,3 +108,14 @@ def run(scale: str = "small", *, seed: SeedLike = 0, workers: int | None = None)
                 theorem_holds=acct.theorem_inequality_satisfied(),
             )
     return table
+
+
+@predicates
+def check(table: ResultsTable):
+    """Theorem 4's inequality and Lemmas 10/11 hold on every TOTAL row."""
+    totals = [r for r in table if r["row"] == "TOTAL"]
+    yield "theorem_holds", bool(totals) and all(r["theorem_holds"] for r in totals)
+    yield "Lemma 11: max_hot_page_fraction < 0.25", all(
+        r["max_hot_page_fraction"] < 0.25 for r in totals)
+    yield "Lemma 10: max_cool_to_sink_over_eps2n < 8", all(
+        r["max_cool_to_sink_over_eps2n"] < 8 for r in totals)

@@ -30,13 +30,13 @@ import numpy as np
 from repro.core.assoc.d_lru import PLruCache
 from repro.core.assoc.heatsink import HeatSinkLRU
 from repro.core.fully.lru import LRUCache
-from repro.experiments.common import pick_scale
+from repro.experiments.common import pick_scale, predicates
 from repro.rng import SeedLike, derive_seed
 from repro.sim.results import ResultsTable
 from repro.traces.phases import phase_change_trace, working_set_trace
 from repro.traces.synthetic import zipf_trace
 
-__all__ = ["run", "EXPERIMENT_ID"]
+__all__ = ["run", "check", "EXPERIMENT_ID"]
 
 EXPERIMENT_ID = "T4-HEATSINK"
 
@@ -125,3 +125,15 @@ def run(
                 sink_occupancy=float(hs_result.extra["sink_occupancy"]),
             )
     return table
+
+
+@predicates
+def check(table: ResultsTable):
+    """Theorem 4's (1+eps) budget, the sink's eps^2 share, parity with LRU on Zipf."""
+    zipf = [r for r in table if r["workload"].startswith("zipf")]
+    yield "ratio_vs_lru_small <= theorem_budget", all(
+        r["ratio_vs_lru_small"] <= r["theorem_budget"] for r in table)
+    yield "|sink_miss_share - sink_prob| < 0.05", all(
+        abs(r["sink_miss_share"] - r["sink_prob"]) < 0.05 for r in table)
+    yield "zipf: ratio_vs_lru_same < 1.2", bool(zipf) and all(
+        r["ratio_vs_lru_same"] < 1.2 for r in zipf)

@@ -1,77 +1,63 @@
-"""Experiment registry: stable ids → runners.
+"""Experiment registry: stable ids → runners and their checks.
 
-The ids here are the ones DESIGN.md's per-experiment index, the CLI, and
-the benchmark modules use. Each runner has signature
+The ids here are the ones DESIGN.md's per-experiment index and the CLI
+use. Each runner has signature
 ``run(scale="small", *, seed=0, workers=None) -> ResultsTable``;
 kernel-aware runners additionally accept ``fast=None`` and thread it to
 :meth:`~repro.core.base.CachePolicy.run`. :func:`run_experiment` forwards
 ``fast`` only to runners that declare it, so simulation-free experiments
-keep their narrow signature.
+keep their narrow signature. Next to each runner, :func:`get_check`
+returns the module's ``check(table) -> list[str]``: the predicates its
+EXPERIMENTS.md verdict rests on that the table fails (``[]`` = pass).
 """
 
 from __future__ import annotations
 
+import importlib
 import inspect
-from typing import Callable, Protocol
+import pkgutil
+from types import ModuleType
+from typing import Callable
 
 from repro.errors import ExperimentError
 from repro.sim.results import ResultsTable
 
 
-class ExperimentRunner(Protocol):  # pragma: no cover - typing aid
-    def __call__(
-        self, scale: str = ..., *, seed=..., workers=...
-    ) -> ResultsTable: ...
+def _modules() -> dict[str, ModuleType]:
+    """Every ``e_*`` module of this package, keyed by its ``EXPERIMENT_ID``."""
+    import repro.experiments as package
 
-
-def _runners() -> dict[str, Callable]:
-    from repro.experiments import (
-        e_ablation,
-        e_indexing,
-        e_rearrange,
-        e_scaling,
-        e_assoc_sweep,
-        e_heat_dissipation,
-        e_l5_orientability,
-        e_l6_components,
-        e_semi_uniform,
-        e_t2_lru_lowerbound,
-        e_t3_two_random,
-        e_t4_accounting,
-        e_t4_heatsink,
+    modules = (
+        importlib.import_module(f"{package.__name__}.{info.name}")
+        for info in pkgutil.iter_modules(package.__path__)
+        if info.name.startswith("e_")
     )
-
-    return {
-        e_t2_lru_lowerbound.EXPERIMENT_ID: e_t2_lru_lowerbound.run,
-        e_semi_uniform.EXPERIMENT_ID: e_semi_uniform.run,
-        e_t3_two_random.EXPERIMENT_ID: e_t3_two_random.run,
-        e_t4_heatsink.EXPERIMENT_ID: e_t4_heatsink.run,
-        e_l5_orientability.EXPERIMENT_ID: e_l5_orientability.run,
-        e_l6_components.EXPERIMENT_ID: e_l6_components.run,
-        e_heat_dissipation.EXPERIMENT_ID: e_heat_dissipation.run,
-        e_assoc_sweep.EXPERIMENT_ID: e_assoc_sweep.run,
-        e_ablation.EXPERIMENT_ID: e_ablation.run,
-        e_scaling.EXPERIMENT_ID: e_scaling.run,
-        e_indexing.EXPERIMENT_ID: e_indexing.run,
-        e_rearrange.EXPERIMENT_ID: e_rearrange.run,
-        e_t4_accounting.EXPERIMENT_ID: e_t4_accounting.run,
-    }
+    return {m.EXPERIMENT_ID: m for m in modules}
 
 
 def available_experiments() -> list[str]:
     """Sorted list of experiment ids."""
-    return sorted(_runners())
+    return sorted(_modules())
+
+
+def _module(experiment_id: str) -> ModuleType:
+    modules = _modules()
+    for key, module in modules.items():
+        if key.lower() == experiment_id.lower():
+            return module
+    raise ExperimentError(
+        f"unknown experiment {experiment_id!r}; available: {', '.join(sorted(modules))}"
+    )
 
 
 def get_experiment(experiment_id: str) -> Callable:
     """Look up a runner by id (case-insensitive)."""
-    runners = _runners()
-    for key, runner in runners.items():
-        if key.lower() == experiment_id.lower():
-            return runner
-    raise ExperimentError(
-        f"unknown experiment {experiment_id!r}; available: {', '.join(sorted(runners))}"
-    )
+    return _module(experiment_id).run
+
+
+def get_check(experiment_id: str) -> Callable[[ResultsTable], list[str]]:
+    """Look up an experiment's ``check(table) -> list[str]`` by id."""
+    return _module(experiment_id).check
 
 
 def run_experiment(

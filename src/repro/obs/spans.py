@@ -15,6 +15,8 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from repro.errors import TraceFormatError
+
 __all__ = ["read_spans", "stitch", "summarize", "format_summary"]
 
 
@@ -22,17 +24,28 @@ def read_spans(paths: Iterable[str | Path]) -> list[dict[str, Any]]:
     """Load span records (``ev == "span"``) from NDJSON files, in file order.
 
     Non-span events sharing the file (the sinks are the same classes the
-    event hooks use) are skipped; malformed lines raise — a span file is
-    machine-written, so garbage means a real bug, not dirty data.
+    event hooks use) are skipped; a line that is not a UTF-8 JSON object
+    raises :class:`~repro.errors.TraceFormatError` naming the file and
+    line — a span file is machine-written, so garbage means a real bug,
+    not dirty data.
     """
     spans: list[dict[str, Any]] = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
                     continue
-                record = json.loads(line)
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+                    raise TraceFormatError(
+                        f"not a JSON span record: {exc}", path=path, line=lineno
+                    ) from None
+                if not isinstance(record, dict):
+                    raise TraceFormatError(
+                        f"expected a JSON object, got {type(record).__name__}",
+                        path=path, line=lineno,
+                    )
                 if record.get("ev") == "span":
                     spans.append(record)
     return spans

@@ -90,10 +90,33 @@ def _text_handle(source: str | os.PathLike | io.TextIOBase):
         path = Path(source)
         # newline="" hands raw line endings to the csv module, which
         # strips CR itself — CRLF exports parse identically to LF ones
-        with path.open("r", newline="") as handle:
+        with path.open("r", encoding="utf-8", newline="") as handle:
             yield handle, path
     else:
         yield source, None
+
+
+def _csv_rows(handle: io.TextIOBase, path: Path | None) -> Iterator[list[str]]:
+    """CSV rows of ``handle``; bytes that are not UTF-8 raise
+    :class:`~repro.errors.TraceFormatError` naming the first bad line."""
+    try:
+        yield from csv.reader(handle)
+    except UnicodeDecodeError as exc:
+        line = None
+        if path is not None:  # the decoder reads ahead: find the line itself
+            with path.open("rb") as fh:
+                line = next(
+                    (n for n, raw in enumerate(fh, start=1) if not _is_utf8(raw)), None
+                )
+        raise TraceFormatError(f"not UTF-8 text ({exc.reason})", path=path, line=line) from None
+
+
+def _is_utf8(raw: bytes) -> bool:
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def _parse_int_field(value: str, what: str, lineno: int, path) -> int:
@@ -130,8 +153,8 @@ def iter_msr_pages(
     4th column); ``max_accesses`` stops after emitting that many page
     accesses. Malformed rows raise
     :class:`~repro.errors.TraceFormatError` with the offending line
-    number; blank lines, ``#`` comments, CRLF endings, and trailing
-    commas are tolerated.
+    number (bytes that are not UTF-8 included); blank lines, ``#``
+    comments, CRLF endings, and trailing commas are tolerated.
     """
     if block_bytes <= 0:
         raise TraceError(f"block_bytes must be positive, got {block_bytes}")
@@ -142,8 +165,7 @@ def iter_msr_pages(
 
     with _text_handle(source) as (handle, path):
         out: list[int] = []
-        reader = csv.reader(handle)
-        for lineno, row in enumerate(reader, start=1):
+        for lineno, row in enumerate(_csv_rows(handle, path), start=1):
             # tolerate blank lines, whitespace-only lines, and comments
             if not row or all(not field.strip() for field in row):
                 continue

@@ -2,7 +2,7 @@
 
 Each experiment runs at ``smoke`` scale and we assert the *shape* of its
 theorem's claim — these are the statements EXPERIMENTS.md reports at
-larger scale.
+larger scale, and each module's ``check`` must pass on its smoke table.
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments.registry import (
     available_experiments,
+    get_check,
     get_experiment,
     run_experiment,
 )
+from repro.sim.results import ResultsTable
 
 # module-level cache: smoke runs are cheap but not free, and several tests
 # inspect the same table
@@ -63,6 +65,43 @@ def test_smoke_produces_rows(experiment_id):
     table = smoke(experiment_id)
     assert len(table) > 0
     assert all(row.get("experiment") == experiment_id for row in table)
+    assert get_check(experiment_id)(table) == []
+
+
+@pytest.mark.parametrize("experiment_id", sorted(available_experiments()))
+def test_registered_experiment_exposes_check(experiment_id):
+    check = get_check(experiment_id)
+    assert callable(check)
+    assert check.__module__ == get_experiment(experiment_id).__module__
+
+
+#: (experiment, the row to doctor, its doctored values, text of the predicate it must fail)
+DOCTORED = [
+    ("T4-HEATSINK", {}, {"ratio_vs_lru_small": 9.0}, "theorem_budget"),
+    ("T4-HEATSINK", {}, {"sink_miss_share": 0.9}, "sink_prob"),
+    ("ABLATION", {"variant": "p=0 (no sink routing)"}, {"misses_post_warm": 0}, "p=0"),
+    ("T2-LOWERBOUND", {"d": 2}, {"ratio_at_K10": 3.0, "ratio_at_K20": 3.0}, "grows strictly"),
+    ("T2-SEMIUNIFORM", {}, {"late_misses_per_round": 0.0}, "late_misses"),
+    ("T3-TWORANDOM", {"beta": 2}, {"late_misses_per_round_2random": 1e9}, "2-RANDOM < 2-LRU"),
+    ("L5-ORIENT", {"in_lemma_regime": True}, {"pr_orientable": 0.5}, "lemma regime"),
+    ("L6-COMPONENTS", {}, {"pr_component_ge_i": 1.0}, "lemma6_bound"),
+    ("HEAT-DISSIPATION", {"policy": "2-RANDOM", "i": 2}, {"pr_misses_gt_i": 1.0}, "decays"),
+    ("ASSOC-SWEEP", {"design": "OPT(full)"}, {"vs_full_lru": 1.5}, "OPT"),
+    ("SCALING", {}, {"melt_ratio_mean": 1.0}, "melt_ratio_mean"),
+    ("INDEXING", {"design": "modulo-set"}, {"miss_rate": 0.0}, "modulo-set"),
+    ("REARRANGE", {"design": "HEAT-SINK"}, {"moves_per_access": 0.5}, "zero moves"),
+    ("T4-ACCOUNTING", {"row": "TOTAL"}, {"theorem_holds": False}, "theorem_holds"),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment_id, match, changes, predicate", DOCTORED, ids=[f"{c[0]}:{c[3]}" for c in DOCTORED]
+)
+def test_check_flags_doctored_table(experiment_id, match, changes, predicate):
+    rows = [dict(row) for row in smoke(experiment_id)]
+    next(r for r in rows if match.items() <= r.items()).update(changes)
+    failed = get_check(experiment_id)(ResultsTable(rows))
+    assert any(predicate in line for line in failed), failed
 
 
 class TestT2Directional:

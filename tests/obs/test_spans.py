@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.errors import TraceFormatError
 from repro.obs.spans import format_summary, read_spans, stitch, summarize
 
 
@@ -49,7 +50,19 @@ class TestReadSpans:
     def test_garbage_line_raises(self, tmp_path):
         path = tmp_path / "bad.ndjson"
         path.write_text("{not json\n")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(TraceFormatError, match="line 1") as exc_info:
+            read_spans([path])
+        assert exc_info.value.path == path
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [(b"[1, 2]\n", 1), (b'{"ev": "span"}\n\n\xff\xfe\n', 3)],
+        ids=["json-array", "not-utf8"],
+    )
+    def test_bad_record_names_file_and_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.ndjson"
+        path.write_bytes(body)
+        with pytest.raises(TraceFormatError, match=f"bad.ndjson: line {line}: "):
             read_spans([path])
 
 

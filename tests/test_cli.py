@@ -56,6 +56,14 @@ class TestMain:
         assert len(files) == 1
         assert files[0].name == "l6-components_smoke.csv"
 
+    def test_failed_check_exits_1_after_every_experiment(self, monkeypatch, capsys):
+        monkeypatch.setattr("repro.cli.available_experiments", lambda: ["L6-COMPONENTS"] * 2)
+        monkeypatch.setattr("repro.cli.get_check", lambda experiment: lambda table: ["p1", "p2"])
+        assert main(["run-all", "--scale", "smoke"]) == 1
+        out, err = capsys.readouterr()
+        assert out.count("== L6-COMPONENTS") == 2
+        assert err.splitlines() == [f"check failed: L6-COMPONENTS: p{i}" for i in (1, 2)] * 2
+
     def test_unknown_experiment(self, capsys):
         assert main(["run", "NOT-AN-EXPERIMENT", "--scale", "smoke"]) == 2
         assert "NOT-AN-EXPERIMENT" in _error_line(capsys)
@@ -99,6 +107,23 @@ class TestTypedErrors:
         assert main(argv) == 2
         line = _error_line(capsys)
         assert "line 2" in line and "'abc'" in line
+
+    def test_non_utf8_trace_file(self, tmp_path, capsys):
+        path = tmp_path / "junk.csv"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\x00junk\n")
+        argv = ["simulate", "--trace-file", str(path), "--policy", "lru", "--capacity", "16"]
+        assert main(argv) == 2
+        assert "not UTF-8" in _error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "body", [b"{not json\n", b"[1, 2]\n", b"\xff\xfe\n"],
+        ids=["not-json", "json-array", "not-utf8"],
+    )
+    def test_junk_span_file(self, tmp_path, capsys, body):
+        path = tmp_path / "spans.ndjson"
+        path.write_bytes(body)
+        assert main(["trace", str(path)]) == 2
+        assert "spans.ndjson: line 1: " in _error_line(capsys)
 
     def test_worker_startup_error_reaches_the_parent(self):
         """A worker that cannot build its policy reports the typed error

@@ -16,6 +16,7 @@ from repro.traces.io import (
     save_trace,
     write_msr_csv,
 )
+from repro.traces.streaming import MsrCsvStream
 from repro.traces.synthetic import zipf_trace
 
 
@@ -155,6 +156,16 @@ class TestMsrCsvHardening:
         except TraceFormatError as exc:
             assert exc.path == path
             assert exc.line == 1
+
+    def test_non_utf8_bytes_report_line(self, tmp_path):
+        # past the text decoder's first read-ahead block, so the line is
+        # found by looking, not by where decoding happened to stop
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,h,1,Read,0,10,1\n" * 1000 + b"1,h\xff,1,Read,0,10,1\n")
+        with pytest.raises(TraceFormatError, match="line 1001: not UTF-8"):
+            read_msr_csv(path)
+        with pytest.raises(TraceFormatError, match="line 1001"):
+            list(MsrCsvStream(path).chunks())
 
     def test_error_is_trace_error_subclass(self):
         # callers catching the old TraceError keep working
