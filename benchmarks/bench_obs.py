@@ -9,8 +9,9 @@ Three questions, one file:
    :class:`HeatSinkLRU` (hooks present, no sink installed) against a
    baseline subclass whose ``access`` is the pre-instrumentation code
    with every hook guard stripped, both on the reference loop
-   (``fast=False``). The acceptance bound is ≤ 5 %
-   (``--check`` mode exits non-zero beyond it; CI runs that).
+   (``fast=False``). The acceptance bound is ≤ 5 % on the median of 11
+   interleaved per-pair ratios (``--check`` mode exits non-zero beyond
+   it; CI runs that).
 2. **What does disabled request tracing cost?** :mod:`repro.obs.tracing`
    makes the same promise for the serving hot path: every span site in
    :class:`~repro.service.store.PolicyStore` is guarded by
@@ -34,9 +35,10 @@ or standalone (CI's observability job)::
 from __future__ import annotations
 
 import asyncio
+import statistics
 import sys
 import time
-from typing import Any
+from typing import Any, Callable
 
 import repro
 from repro.core.assoc.heatsink import _EMPTY, HeatSinkLRU
@@ -54,9 +56,10 @@ LENGTH = 800_000
 TRACE = repro.zipf_trace(4 * CAPACITY, LENGTH, alpha=1.0, seed=1)
 
 #: Store ops per tracing-overhead pass. A GET costs ~1.3 µs on a 2020s
-#: x86 core, so one pass runs ~0.65 s: long enough that scheduler noise
-#: stays under the 5 % bound (50 000 ops, ~0.1 s a pass, failed the gate
-#: in 3 runs of 10).
+#: x86 core, so one pass runs ~0.65 s (50 000 ops, ~0.1 s a pass, failed
+#: the gate in 3 runs of 10). Even at this length, best-of-5 per side
+#: failed 2-3 runs in 10 on a shared 2-CPU host; the gate therefore reads
+#: the median of per-pair ratios (:func:`_median_pair_ratio`).
 STORE_OPS = 500_000
 STORE_KEYS = as_page_array(
     repro.zipf_trace(4 * CAPACITY, STORE_OPS, alpha=1.0, seed=1)
@@ -140,20 +143,41 @@ def _pass_seconds(policy: HeatSinkLRU) -> float:
     return time.perf_counter() - start
 
 
-def disabled_overhead_ratio(repeats: int = 5) -> tuple[float, float, float]:
-    """(bare_seconds, instrumented_seconds, ratio) with hooks disabled.
+def _median_pair_ratio(
+    bare_pass: Callable[[], float], instrumented_pass: Callable[[], float], pairs: int
+) -> tuple[float, float, float]:
+    """(bare_seconds, instrumented_seconds, ratio), medians over ``pairs``
+    interleaved pairs of passes.
 
-    Best of ``repeats`` interleaved passes per side, so a transient
-    machine slowdown hits both sides instead of whichever ran last.
+    Each ratio compares two passes run back to back, with the side that
+    runs first alternating, so a transient machine slowdown moves one
+    pair's ratio and the median discards it; a best-of-N per side can
+    still pair one side's lucky pass with the other's unlucky one.
     """
+    bare: list[float] = []
+    instrumented: list[float] = []
+    for k in range(pairs):
+        if k % 2:
+            instrumented.append(instrumented_pass())
+            bare.append(bare_pass())
+        else:
+            bare.append(bare_pass())
+            instrumented.append(instrumented_pass())
+    ratios = [i / b for b, i in zip(bare, instrumented)]
+    return statistics.median(bare), statistics.median(instrumented), statistics.median(ratios)
+
+
+def disabled_overhead_ratio(repeats: int = 11) -> tuple[float, float, float]:
+    """(bare_seconds, instrumented_seconds, ratio) with hooks disabled,
+    over ``repeats`` interleaved pairs of passes."""
     assert not hooks.ENABLED, "a sink is installed; the comparison would be unfair"
-    bare = instrumented = float("inf")
-    for _ in range(repeats):
-        bare = min(bare, _pass_seconds(
+    return _median_pair_ratio(
+        lambda: _pass_seconds(
             BareHeatSinkLRU(CAPACITY, bin_size=16, sink_size=64, sink_prob=0.05, seed=1)
-        ))
-        instrumented = min(instrumented, _pass_seconds(make_policy()))
-    return bare, instrumented, instrumented / bare
+        ),
+        lambda: _pass_seconds(make_policy()),
+        repeats,
+    )
 
 
 class BarePolicyStore(PolicyStore):
@@ -187,21 +211,18 @@ def _store_pass_seconds(cls: type[PolicyStore]) -> float:
     return time.perf_counter() - start
 
 
-def disabled_tracing_ratio(repeats: int = 5) -> tuple[float, float, float]:
-    """(bare_seconds, instrumented_seconds, ratio) with tracing disabled.
-
-    Bare and instrumented passes are interleaved so a transient machine
-    slowdown hits both sides instead of inflating whichever ran last.
-    """
+def disabled_tracing_ratio(repeats: int = 11) -> tuple[float, float, float]:
+    """(bare_seconds, instrumented_seconds, ratio) with tracing disabled,
+    over ``repeats`` interleaved pairs of passes."""
     assert not tracing.ENABLED, "a trace sink is installed; comparison would be unfair"
-    bare = instrumented = float("inf")
-    for _ in range(repeats):
-        bare = min(bare, _store_pass_seconds(BarePolicyStore))
-        instrumented = min(instrumented, _store_pass_seconds(PolicyStore))
-    return bare, instrumented, instrumented / bare
+    return _median_pair_ratio(
+        lambda: _store_pass_seconds(BarePolicyStore),
+        lambda: _store_pass_seconds(PolicyStore),
+        repeats,
+    )
 
 
-def check(threshold: float = 1.05, repeats: int = 5) -> bool:
+def check(threshold: float = 1.05, repeats: int = 11) -> bool:
     """CI gate: disabled-hook AND disabled-tracing slowdowns within ``threshold``."""
     bare, instrumented, ratio = disabled_overhead_ratio(repeats)
     rate = LENGTH / instrumented

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.base import CachePolicy, SimResult
 from repro.errors import ConfigurationError
-from repro.traces.base import Trace, as_page_array
+from repro.traces.base import Trace
 
 __all__ = ["miss_rate_curve", "steady_state_miss_rate", "warmup_split"]
 

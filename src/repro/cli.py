@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim_p.add_argument(
         "--window", type=int, default=None,
-        help="also print a windowed miss-rate sparkline with this window",
+        help="also print a windowed miss-rate sparkline with this window "
+        "(any source; keeps one byte per access)",
     )
 
     mrc_p = sub.add_parser("mrc", help="LRU miss-rate curve of a saved trace")
@@ -474,52 +475,40 @@ def _max_rss_mb() -> float | None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.core.registry import make_policy
-    from repro.errors import ConfigurationError
     from repro.experiments.common import resolve_fast
+    from repro.sim.engine import run_policy
 
-    stream = _stream_from_args(args)
+    trace = _stream_from_args(args)
+    if trace is None:
+        from repro.traces.io import load_trace
+
+        trace = load_trace(args.trace)  # one chunk: no boundaries however large
     try:
         policy = make_policy(args.policy, args.capacity, seed=args.seed)
     except TypeError:
         # deterministic policies (lru, fifo, ...) take no seed argument
         policy = make_policy(args.policy, args.capacity)
 
-    if stream is not None:
-        if args.window:
-            raise ConfigurationError(
-                "--window needs per-access hits, which a streamed run does "
-                "not retain; use --trace with a materialized .npz instead"
-            )
-        from repro.sim.engine import run_policy_stream
-
-        row = run_policy_stream(policy, stream, fast=resolve_fast(args.fast))
-        print(f"trace    : {stream!r}")
-        print(f"policy   : {policy.name} (capacity {policy.capacity})")
-        print(f"accesses : {row['accesses']}  ({row['chunks']} chunks of ≤{stream.chunk})")
-        print(f"misses   : {row['misses']}  (rate {row['miss_rate']:.4f})")
-        print(
-            f"seconds  : {row['seconds']:.2f}  "
-            f"({row['accesses'] / max(row['seconds'], 1e-9):,.0f}/s)"
-        )
-        rss = _max_rss_mb()
-        if rss is not None:
-            print(f"peak RSS : {rss:,.0f} MB")
-        return 0
-
-    from repro.traces.io import load_trace
-
-    trace = load_trace(args.trace)
-    start = time.perf_counter()
-    result = policy.run(trace, fast=resolve_fast(args.fast))
-    elapsed = time.perf_counter() - start
-    print(f"trace    : {trace}")
+    row = run_policy(
+        policy, trace, fast=resolve_fast(args.fast), keep_hits=bool(args.window)
+    )
+    print(f"trace    : {trace!r}")
     print(f"policy   : {policy.name} (capacity {policy.capacity})")
-    print(f"accesses : {result.num_accesses}")
-    print(f"misses   : {result.num_misses}  (rate {result.miss_rate:.4f})")
-    print(f"seconds  : {elapsed:.2f}  ({result.num_accesses / max(elapsed, 1e-9):,.0f}/s)")
+    chunks = row["chunks"]
+    print(f"accesses : {row['accesses']}  ({chunks} chunk{'s' * (chunks != 1)})")
+    print(f"misses   : {row['misses']}  (rate {row['miss_rate']:.4f})")
+    print(
+        f"seconds  : {row['seconds']:.2f}  "
+        f"({row['accesses'] / max(row['seconds'], 1e-9):,.0f}/s)"
+    )
+    rss = _max_rss_mb()
+    if rss is not None:
+        print(f"peak RSS : {rss:,.0f} MB")
     if args.window:
+        from repro.core.base import SimResult
         from repro.viz import sparkline
 
+        result = SimResult(row["hits"], policy=policy.name, capacity=policy.capacity)
         series = result.windowed_miss_rate(args.window)
         print(f"windowed : [{sparkline(series, lo=0.0)}]  (window={args.window})")
     return 0

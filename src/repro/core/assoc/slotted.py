@@ -19,7 +19,7 @@ the inner loop to lists roughly triples simulation throughput.
 from __future__ import annotations
 
 import abc
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
 
 from repro.core.base import CachePolicy
 from repro.errors import ConfigurationError

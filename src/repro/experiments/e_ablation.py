@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 
 from repro.core.assoc.d_random import DRandomCache
 from repro.core.assoc.heatsink import HeatSinkLRU

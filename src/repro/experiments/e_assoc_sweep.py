@@ -24,7 +24,6 @@ worst everywhere.
 
 from __future__ import annotations
 
-import numpy as np
 
 from repro.analysis.metrics import steady_state_miss_rate
 from repro.core.assoc.cuckoo import CuckooCache

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.heat import heat_timeline
 from repro.core.assoc.d_lru import PLruCache
 from repro.core.assoc.d_random import DRandomCache
 from repro.experiments.common import pick_scale, predicates

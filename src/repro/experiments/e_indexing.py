@@ -20,7 +20,6 @@ set-assoc, hashed set-assoc, skewed-assoc (Seznec), 2-LRU (uniform
 
 from __future__ import annotations
 
-import numpy as np
 
 from repro.core.assoc.d_lru import PLruCache
 from repro.core.assoc.hashdist import ModuloSetHashes, SetAssociativeHashes, SkewedHashes

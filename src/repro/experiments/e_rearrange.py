@@ -20,9 +20,7 @@ paper's design thesis.
 
 from __future__ import annotations
 
-import numpy as np
 
-from repro.analysis.metrics import steady_state_miss_rate
 from repro.core.assoc.companion import CompanionCache
 from repro.core.assoc.cuckoo import CuckooCache
 from repro.core.assoc.d_lru import PLruCache

@@ -19,7 +19,6 @@ distribution so the bench prints one comparable block.
 
 from __future__ import annotations
 
-import numpy as np
 
 from repro.core.assoc.d_lru import PLruCache
 from repro.core.assoc.hashdist import (

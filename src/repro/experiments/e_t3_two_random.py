@@ -22,7 +22,6 @@ and large for 2-LRU.
 
 from __future__ import annotations
 
-import numpy as np
 
 from repro.core.assoc.d_lru import PLruCache
 from repro.core.assoc.d_random import DRandomCache

@@ -20,7 +20,6 @@ configuration carrying the theorem check.
 
 from __future__ import annotations
 
-import numpy as np
 
 from repro.analysis.prooftrace import trace_theorem4_accounting
 from repro.experiments.common import pick_scale, predicates

@@ -25,7 +25,6 @@ despite the same associativity, and strictly worse on hot workloads.
 
 from __future__ import annotations
 
-import numpy as np
 
 from repro.core.assoc.d_lru import PLruCache
 from repro.core.assoc.heatsink import HeatSinkLRU

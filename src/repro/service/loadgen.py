@@ -1,7 +1,11 @@
 """Trace-replay load generator.
 
-Replays any :class:`~repro.traces.base.Trace` (synthetic or loaded from
-``.npz``) against a running cache server as a stream of GETs. Two modes:
+Replays any :class:`~repro.traces.base.Trace`, array or
+:class:`~repro.traces.streaming.TraceStream` against a running cache
+server as a stream of GETs. Every connection walks one shard's chunks
+with the same window generator: an array, and each strided shard of it,
+is wrapped as a zero-copy :class:`~repro.traces.streaming.ArrayTraceStream`,
+and a stream replays at O(chunk + window) client memory. Two modes:
 
 - ``"pipeline"`` (default): one connection, requests pipelined in windows
   of ``concurrency`` in-flight requests. Per-connection ordering means
@@ -58,7 +62,7 @@ from repro.service.client import (
 from repro.service.faults import FaultPlan, running_proxy
 from repro.service.protocol import FRAME_NDJSON, FRAMES, MAX_BATCH_KEYS
 from repro.traces.base import Trace, as_page_array
-from repro.traces.streaming import TraceStream
+from repro.traces.streaming import ArrayTraceStream, TraceStream
 
 __all__ = ["LoadReport", "replay_trace", "run_replay"]
 
@@ -255,7 +259,7 @@ async def replay_trace(
         raise ConfigurationError(
             f"report_interval must be non-negative, got {report_interval}"
         )
-    pages: "list[int] | TraceStream"
+    pages: "np.ndarray | TraceStream"
     if isinstance(trace, TraceStream):
         if mode != "pipeline" or connections != 1:
             raise ConfigurationError(
@@ -264,7 +268,7 @@ async def replay_trace(
             )
         pages = trace
     else:
-        pages = as_page_array(trace).tolist()
+        pages = as_page_array(trace)
 
     if faults is not None:
         async with running_proxy(host, port, faults) as proxy:
@@ -283,14 +287,8 @@ async def replay_trace(
     )
 
 
-def _window_iter(pages: list[int], window: int):
-    """Ordered key windows over a materialized shard."""
-    for lo in range(0, len(pages), window):
-        yield pages[lo : lo + window]
-
-
 def _stream_windows(stream: TraceStream, window: int):
-    """Ordered key windows over a stream, O(chunk + window) memory."""
+    """Ordered key windows over a shard, O(chunk + window) memory."""
     carry: list[int] = []
     for chunk in stream.chunks():
         part = carry + chunk.tolist() if carry else chunk.tolist()
@@ -303,7 +301,7 @@ def _stream_windows(stream: TraceStream, window: int):
 
 
 async def _replay(
-    pages: "list[int] | TraceStream",
+    pages: "np.ndarray | TraceStream",
     host: str,
     port: int,
     *,
@@ -327,48 +325,26 @@ async def _replay(
     # `concurrency` counts in-flight *requests*; with batching each MGET
     # frame carries `batch` keys, so the key window per round trip scales
     # with both.
-    window = concurrency * batch
-    streamed = isinstance(pages, TraceStream)
-    if streamed:
-        live = _LiveCounters(total=pages.length or 0)
+    # In workers mode each connection is one shard with a fixed window.
+    window = concurrency * batch if mode == "pipeline" else 32 * batch
+    if isinstance(pages, TraceStream):  # replay_trace pinned pipeline/1-connection
+        shards = [pages]
     else:
-        live = _LiveCounters(total=len(pages))
+        ways = connections if mode == "pipeline" else concurrency
+        shards = [ArrayTraceStream(pages[i::ways]) for i in range(min(ways, pages.size))]
+    live = _LiveCounters(total=sum(shard.length or 0 for shard in shards))
     reporter: asyncio.Task | None = None
     if report_interval:
         reporter = asyncio.create_task(_report_progress(live, report_interval))
     start = time.perf_counter()
     try:
-        if streamed:  # replay_trace already pinned pipeline/1-connection
-            counts = [
-                await _replay_shard(
-                    _stream_windows(pages, window), host, port, batch=batch,
-                    frame=frame, timeout=timeout, retry=retry, live=live,
-                )
-            ]
-        elif mode == "pipeline":
-            shards = (
-                [pages]
-                if connections == 1
-                else [pages[i::connections] for i in range(connections)]
+        counts = await asyncio.gather(
+            *(
+                _replay_shard(_stream_windows(shard, window), host, port, batch=batch,
+                              frame=frame, timeout=timeout, retry=retry, live=live)
+                for shard in shards
             )
-            counts = await asyncio.gather(
-                *(
-                    _replay_shard(_window_iter(shard, window), host, port, batch=batch,
-                                  frame=frame, timeout=timeout, retry=retry, live=live)
-                    for shard in shards
-                    if shard
-                )
-            )
-        else:
-            shards = [pages[i::concurrency] for i in range(concurrency)]
-            counts = await asyncio.gather(
-                *(
-                    _replay_shard(_window_iter(shard, 32 * batch), host, port, batch=batch,
-                                  frame=frame, timeout=timeout, retry=retry, live=live)
-                    for shard in shards
-                    if shard
-                )
-            )
+        )
     finally:
         if reporter is not None:
             reporter.cancel()
@@ -433,8 +409,8 @@ async def _replay_shard(
     connection.
 
     Consuming windows (not a materialized list) is what lets streamed
-    replay run at O(window) client memory — the same code path serves
-    list shards via :func:`_window_iter`. Returns ``(ops, hits, errors,
+    replay run at O(window) client memory, for array shards and streams
+    alike (:func:`_stream_windows`). Returns ``(ops, hits, errors,
     client_stats, seconds)``. With a retry policy, a window whose
     attempts are exhausted is charged to ``errors`` and the replay
     presses on — graceful degradation is the point, a chaos run must

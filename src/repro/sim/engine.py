@@ -1,15 +1,17 @@
-"""Single-trace simulation drivers.
+"""Single-trace simulation driver.
 
-:func:`run_policy` is a light wrapper adding wall-clock timing and
-optional warm-up splitting; :func:`compare_policies` runs a dictionary of
-policies over the same trace and assembles a :class:`ResultsTable` — the
-workhorse behind the examples and the ASSOC-SWEEP experiment.
+:func:`run_policy` runs one policy over an array, a
+:class:`~repro.traces.base.Trace` or a
+:class:`~repro.traces.streaming.TraceStream` through one chunk loop: an
+array or ``Trace`` is one zero-copy chunk read in place, a stream yields
+its chunks at O(chunk) memory. :func:`run_policy_stream` is a second name
+for it. :func:`compare_policies` runs several policies over one trace
+into a :class:`ResultsTable`.
 
-Both integrate with the observability layer: pass ``trace_sink`` to
-capture the run's structured events (access/route/evict) into any
-:mod:`repro.obs.sinks` sink — the sink is installed only for the
-duration of the run, and with no sink the hooks stay disabled and the
-loop runs at full speed (``benchmarks/bench_obs.py`` guards the bound).
+Pass ``trace_sink`` to capture a run's structured events into any
+:mod:`repro.obs.sinks` sink — it is installed only for the duration of
+the run; with no sink the hooks stay disabled and the loop runs at full
+speed (``benchmarks/bench_obs.py`` guards the bound).
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.analysis.metrics import warmup_split
 from repro.errors import ConfigurationError
-from repro.core.base import CachePolicy, SimResult
+from repro.core.base import CachePolicy
 from repro.obs import hooks as obs_hooks
 from repro.obs.hooks import TraceSink
 from repro.sim.results import ResultsTable
@@ -39,83 +40,42 @@ def run_policy(
     warmup_fraction: float = 0.25,
     trace_sink: TraceSink | None = None,
     fast: bool | None = None,
-) -> dict:
-    """Run one policy, returning a flat row of headline metrics.
-
-    ``trace_sink`` (optional) receives the run's observability events;
-    event indices restart at 0 for this run — note an installed sink
-    enables hooks, which forces the reference loop regardless of ``fast``.
-    ``fast`` forwards to :meth:`CachePolicy.run` kernel dispatch
-    (``None`` = auto); omitted from the call when ``None`` so policies
-    with legacy ``run`` signatures keep working.
-
-    A :class:`~repro.traces.streaming.TraceStream` is dispatched to
-    :func:`run_policy_stream` — same row shape, constant memory.
-    """
-    if isinstance(trace, TraceStream):
-        return run_policy_stream(
-            policy,
-            trace,
-            warmup_fraction=warmup_fraction,
-            trace_sink=trace_sink,
-            fast=fast,
-        )
-    pages = as_page_array(trace)
-    kwargs = {} if fast is None else {"fast": fast}
-    start = time.perf_counter()
-    if trace_sink is not None:
-        with obs_hooks.capturing(trace_sink):
-            result = policy.run(pages, **kwargs)
-    else:
-        result = policy.run(pages, **kwargs)
-    elapsed = time.perf_counter() - start
-    warm_rate, steady_rate = warmup_split(result, warmup_fraction)
-    return {
-        "policy": policy.name,
-        "capacity": policy.capacity,
-        "accesses": result.num_accesses,
-        "misses": result.num_misses,
-        "miss_rate": result.miss_rate,
-        "steady_miss_rate": steady_rate,
-        "warmup_miss_rate": warm_rate,
-        "seconds": elapsed,
-    }
-
-
-def run_policy_stream(
-    policy: CachePolicy,
-    stream: TraceStream,
-    *,
-    warmup_fraction: float = 0.25,
-    trace_sink: TraceSink | None = None,
-    fast: bool | None = None,
     keep_hits: bool = False,
     prefetch: bool = True,
 ) -> dict:
-    """Run one policy over a chunked stream at O(chunk) memory.
+    """Run one policy, returning a flat row of headline metrics.
 
     The policy is reset once, then each chunk continues the run via
-    ``policy.run(chunk, reset=False)`` — the kernels' continuation
-    contract makes the stitched result **bit-identical** to a single
-    materialized run: same hits, same post-run policy state, same
-    logical coin-stream position (``tests/sim/test_stream_engine.py``
-    asserts all three across every registered kernel).
+    ``policy.run(chunk, reset=False)``; the continuation contract makes
+    the stitched run **bit-identical** to one materialized run (hits,
+    post-run state, coin-stream position — ``tests/sim/test_stream_engine.py``).
+    ``fast`` forwards to :meth:`CachePolicy.run` (``None`` = auto);
+    ``prefetch`` decodes a stream's next chunk on a background thread
+    (:class:`~repro.traces.streaming.Prefetcher`). An installed
+    ``trace_sink`` forces the reference loop; event indices restart per
+    chunk.
 
-    ``prefetch`` decodes chunk N+1 on a background thread while the
-    kernel runs chunk N (:class:`~repro.traces.streaming.Prefetcher`).
-    Per-access hits are **not** retained unless ``keep_hits`` (10⁸
-    accesses of bools is 100 MB — the opposite of the point); without
-    them the warm-up/steady split prorates the boundary chunk's misses,
-    exact at chunk granularity. With ``keep_hits`` the row gains a
-    ``"hits"`` array and the split matches :func:`run_policy` exactly.
-    With ``trace_sink``, hooks force the reference loop and event
-    indices restart per chunk.
+    The warm-up/steady split is exact when the input's length is known
+    before the run: the chunk straddling the cut splits its own hits.
+    Only a stream of unknown length (an MSR CSV on its first pass)
+    prorates that chunk's misses. ``keep_hits`` adds the per-access
+    ``"hits"`` array to the row (one byte per access).
     """
+    streamed = isinstance(trace, TraceStream)
+    if streamed:
+        source = iter(Prefetcher(trace)) if prefetch else trace.chunks()
+        length, name = trace.length, trace.name
+    else:
+        pages = as_page_array(trace)
+        source = iter((pages,))
+        length, name = pages.size, trace.name if isinstance(trace, Trace) else "array"
+    cut = None if length is None else int(length * warmup_fraction)
     kwargs = {} if fast is None else {"fast": fast}
     policy.reset()
-    source = iter(Prefetcher(stream)) if prefetch else stream.chunks()
-    counts: list[tuple[int, int]] = []
+    # (accesses, misses) pieces: the chunk straddling a known cut adds two
+    pieces: list[tuple[int, int]] = []
     hit_parts: list[np.ndarray] = []
+    chunks = seen = 0
     sink_scope = (
         obs_hooks.capturing(trace_sink) if trace_sink is not None else contextlib.nullcontext()
     )
@@ -125,65 +85,62 @@ def run_policy_stream(
             if chunk.size == 0:
                 continue
             result = policy.run(chunk, reset=False, **kwargs)
-            counts.append((result.num_accesses, result.num_misses))
+            size, misses = result.num_accesses, result.num_misses
+            if cut is not None and seen < cut < seen + size:
+                head = cut - seen
+                head_misses = head - int(np.count_nonzero(result.hits[:head]))
+                pieces += [(head, head_misses), (size - head, misses - head_misses)]
+            else:
+                pieces.append((size, misses))
             if keep_hits:
                 hit_parts.append(np.array(result.hits, dtype=bool))
+            chunks += 1
+            seen += size
     elapsed = time.perf_counter() - start
-    accesses = sum(a for a, _ in counts)
-    misses = sum(m for _, m in counts)
-
-    if keep_hits:
-        hits = np.concatenate(hit_parts) if hit_parts else np.empty(0, dtype=bool)
-        warm_rate, steady_rate = warmup_split(
-            SimResult(hits, policy=policy.name, capacity=policy.capacity),
-            warmup_fraction,
-        )
-    else:
-        warm_rate, steady_rate = _prorated_split(counts, accesses, warmup_fraction)
-
+    misses = sum(m for _, m in pieces)
+    warm_rate, steady_rate = _split(pieces, warmup_fraction)
     row = {
         "policy": policy.name,
         "capacity": policy.capacity,
-        "accesses": accesses,
+        "accesses": seen,
         "misses": misses,
-        "miss_rate": misses / accesses if accesses else float("nan"),
+        "miss_rate": misses / seen if seen else float("nan"),
         "steady_miss_rate": steady_rate,
         "warmup_miss_rate": warm_rate,
         "seconds": elapsed,
-        "streamed": True,
-        "chunks": len(counts),
-        "trace": stream.name,
+        "streamed": streamed,
+        "chunks": chunks,
+        "trace": name,
     }
     if keep_hits:
-        row["hits"] = hits
+        row["hits"] = np.concatenate(hit_parts) if hit_parts else np.empty(0, dtype=bool)
     return row
 
 
-def _prorated_split(
-    counts: list[tuple[int, int]], total: int, warmup_fraction: float
-) -> tuple[float, float]:
-    """Warm-up/steady miss rates from per-chunk counts only.
+#: the streaming name of :func:`run_policy`, kept for its importers
+run_policy_stream = run_policy
 
-    Uses the same boundary as :func:`repro.analysis.metrics.warmup_split`
-    (``cut = int(total * fraction)``); the one chunk straddling the cut
-    contributes misses proportionally, since its per-access hits are gone.
-    """
+
+def _split(pieces: list[tuple[int, int]], warmup_fraction: float) -> tuple[float, float]:
+    """Warm-up/steady miss rates from ``(accesses, misses)`` pieces, cut
+    where :func:`repro.analysis.metrics.warmup_split` cuts. Bit-identical
+    to it when a piece ends at the cut; a piece straddling the cut
+    contributes misses proportionally."""
     if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError(
-            f"warmup_fraction must be in [0,1), got {warmup_fraction}"
-        )
+        raise ConfigurationError(f"warmup_fraction must be in [0,1), got {warmup_fraction}")
+    total = sum(a for a, _ in pieces)
     if total == 0:
         return float("nan"), float("nan")
     cut = int(total * warmup_fraction)
     warm_misses = 0.0
     seen = 0
-    for chunk_accesses, chunk_misses in counts:
-        if seen + chunk_accesses <= cut:
-            warm_misses += chunk_misses
+    for accesses, misses in pieces:
+        if seen + accesses <= cut:
+            warm_misses += misses
         elif seen < cut:
-            warm_misses += chunk_misses * (cut - seen) / chunk_accesses
-        seen += chunk_accesses
-    total_misses = sum(m for _, m in counts)
+            warm_misses += misses * (cut - seen) / accesses
+        seen += accesses
+    total_misses = sum(m for _, m in pieces)
     head = warm_misses / cut if cut else float("nan")
     tail = (total_misses - warm_misses) / (total - cut) if total > cut else float("nan")
     return head, tail
@@ -191,7 +148,7 @@ def _prorated_split(
 
 def compare_policies(
     policies: Mapping[str, CachePolicy | Callable[[], CachePolicy]],
-    trace: Trace | np.ndarray,
+    trace: "Trace | np.ndarray | TraceStream",
     *,
     warmup_fraction: float = 0.25,
     fast: bool | None = None,
@@ -203,11 +160,12 @@ def compare_policies(
     depend on the trace). ``fast`` forwards to each run's kernel dispatch.
     Streams are accepted too (each policy re-iterates the stream).
     """
-    pages = trace if isinstance(trace, TraceStream) else as_page_array(trace)
+    if not isinstance(trace, (Trace, TraceStream)):
+        trace = as_page_array(trace)  # validate once, not once per policy
     table = ResultsTable()
     for label, entry in policies.items():
         policy = entry() if callable(entry) and not isinstance(entry, CachePolicy) else entry
-        row = run_policy(policy, pages, warmup_fraction=warmup_fraction, fast=fast)
+        row = run_policy(policy, trace, warmup_fraction=warmup_fraction, fast=fast)
         row["label"] = label
         table.append(**row)
     return table

@@ -127,11 +127,14 @@ class ResultsTable:
 
     @classmethod
     def from_csv(cls, source: str | os.PathLike | io.TextIOBase) -> "ResultsTable":
-        """Read a table back; numeric-looking cells become floats/ints."""
+        """Read a table back; numeric-looking cells become floats/ints and
+        ``True``/``False`` become bools (the string ``"False"`` is truthy)."""
 
         def _coerce(text: str) -> Any:
             if text == "":
                 return None
+            if text in ("True", "False"):
+                return text == "True"
             for caster in (int, float):
                 try:
                     return caster(text)

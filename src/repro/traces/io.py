@@ -16,9 +16,10 @@ Three formats are supported:
 - **npt** (:mod:`repro.traces.npt`): the compact chunked binary format
   with an index footer, built for seekable constant-memory replay.
 
-Malformed CSV input raises :class:`~repro.errors.TraceFormatError`
-carrying the 1-based line number (and path, when parsing a file) —
-never a bare ``ValueError`` from deep inside NumPy or ``int()``. Blank
+A truncated or corrupt ``.npz`` raises :class:`~repro.errors.TraceFormatError`
+naming the path. Malformed CSV input raises it too, carrying the 1-based
+line number (and path, when parsing a file) — never a bare
+``ValueError`` from deep inside NumPy or ``int()``. Blank
 lines, ``#`` comments, CRLF line endings, and trailing commas are
 tolerated (they occur in real exported traces); short rows, non-integer
 or negative offset/size fields are errors.
@@ -31,6 +32,8 @@ import csv
 import io
 import json
 import os
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -63,16 +66,22 @@ def load_trace(path: str | os.PathLike) -> Trace:
     path = Path(path)
     if not path.exists():
         raise TraceError(f"trace file not found: {path}")
-    with np.load(path, allow_pickle=False) as data:
-        if "pages" not in data:
-            raise TraceError(f"{path} is not a repro trace file (no 'pages' array)")
-        pages = data["pages"]
-        meta: dict = {"name": path.stem, "params": {}}
-        if "meta" in data:
-            try:
-                meta = json.loads(str(data["meta"]))
-            except (json.JSONDecodeError, TypeError) as exc:
-                raise TraceError(f"corrupt metadata in {path}") from exc
+    if not zipfile.is_zipfile(path):
+        raise TraceFormatError("not an .npz archive, or a truncated one", path=path)
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            pages = data["pages"] if "pages" in data else None
+            raw_meta = str(data["meta"]) if "meta" in data else None
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise TraceFormatError(f"corrupt .npz archive: {exc}", path=path) from None
+    if pages is None:
+        raise TraceError(f"{path} is not a repro trace file (no 'pages' array)")
+    meta: dict = {"name": path.stem, "params": {}}
+    if raw_meta is not None:
+        try:
+            meta = json.loads(raw_meta)
+        except json.JSONDecodeError as exc:
+            raise TraceError(f"corrupt metadata in {path}") from exc
     return Trace(pages, name=meta.get("name", path.stem), params=meta.get("params", {}))
 
 

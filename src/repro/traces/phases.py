@@ -9,7 +9,6 @@ controllable phase length, working-set size, and inter-phase overlap.
 
 from __future__ import annotations
 
-from typing import Sequence
 
 import numpy as np
 

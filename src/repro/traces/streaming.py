@@ -7,7 +7,7 @@ end to end. The fast kernels already guarantee bit-exact ``reset=False``
 continuations at arbitrary access boundaries (see
 :mod:`repro.sim.kernels`), which makes chunk stitching *exactly*
 equivalent to the materialized run — the engine entry point is
-:func:`repro.sim.engine.run_policy_stream`.
+:func:`repro.sim.engine.run_policy`.
 
 Adapters cover every trace source in the repo:
 
@@ -288,7 +288,7 @@ class MsrCsvStream(TraceStream):
 
     A thin re-iterable wrapper over :func:`repro.traces.io.iter_msr_pages`;
     the file is reopened on every ``chunks()`` call. ``length`` is unknown
-    (``None``) until a full pass completes.
+    (``None``) until a full pass completes, then holds that pass's count.
     """
 
     cheap_pickle = True
@@ -320,14 +320,18 @@ class MsrCsvStream(TraceStream):
     def chunks(self) -> Iterator[np.ndarray]:
         from repro.traces.io import iter_msr_pages
 
-        yield from iter_msr_pages(
+        seen = 0
+        for block in iter_msr_pages(
             self.path,
             block_bytes=self.block_bytes,
             request_types=self.request_types,
             expand_multiblock=self.expand_multiblock,
             max_accesses=self.max_accesses,
             chunk=self.chunk,
-        )
+        ):
+            seen += block.size
+            yield block
+        self.length = seen
 
 
 class IncrementalRemapper:
@@ -474,7 +478,7 @@ class Prefetcher:
     the ring. Yielded arrays are **read-only views valid only until the
     next iteration step** — the consumer must finish with (or copy) a
     chunk before advancing, which is exactly the discipline of the
-    kernel loop in :func:`repro.sim.engine.run_policy_stream`.
+    kernel loop in :func:`repro.sim.engine.run_policy`.
 
     Exceptions in the reader propagate to the consumer; breaking out of
     the iteration early shuts the thread down cleanly.

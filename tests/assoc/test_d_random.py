@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.assoc.d_random import DRandomCache
 from repro.core.assoc.hashdist import ExplicitHashes

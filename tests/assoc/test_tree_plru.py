@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.assoc.set_assoc import SetAssociativeLRU
 from repro.core.assoc.tree_plru import TreePLRUCache
-from repro.core.fully.lru import LRUCache
 from repro.errors import ConfigurationError
 from repro.traces.synthetic import zipf_trace
 from tests.helpers import reference_policy_check

@@ -13,7 +13,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 
-import pytest
 
 from repro.cluster.router import RouterServer
 from repro.cluster.worker import build_specs

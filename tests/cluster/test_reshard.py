@@ -11,12 +11,9 @@ from __future__ import annotations
 import asyncio
 
 import numpy as np
-import pytest
 
-from repro.cluster.ring import HashRing
 from repro.cluster.router import RouterServer
 from repro.cluster.worker import WorkerSpec
-from repro.errors import ServiceError
 from repro.service.client import ServiceClient
 from repro.service.server import running_server
 from repro.service.store import PolicyStore

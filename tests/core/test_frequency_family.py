@@ -11,7 +11,7 @@ from repro.core.fully.lru import LRUCache
 from repro.core.fully.lru_k import LRUKCache
 from repro.core.fully.two_q import TwoQCache
 from repro.errors import ConfigurationError
-from repro.traces.synthetic import sequential_scan_trace, zipf_trace
+from repro.traces.synthetic import zipf_trace
 
 
 class TestLFU:

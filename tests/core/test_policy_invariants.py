@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.base import CachePolicy
 from repro.core.fully.belady import BeladyCache
 from repro.core.registry import available_policies, make_policy
 from tests.helpers import all_online_policy_factories, reference_policy_check

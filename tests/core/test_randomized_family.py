@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.fully.lru import LRUCache
 from repro.core.fully.marking import MarkingCache
 from repro.core.fully.random_evict import RandomEvictCache
 from repro.core.fully.sieve import SieveCache
-from repro.traces.synthetic import sequential_scan_trace, zipf_trace
+from repro.traces.synthetic import zipf_trace
 
 
 class TestRandomEvict:

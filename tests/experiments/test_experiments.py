@@ -7,7 +7,8 @@ larger scale, and each module's ``check`` must pass on its smoke table.
 
 from __future__ import annotations
 
-import numpy as np
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -75,6 +76,16 @@ def test_registered_experiment_exposes_check(experiment_id):
     assert check.__module__ == get_experiment(experiment_id).__module__
 
 
+RESULTS = Path(__file__).resolve().parents[2] / "results"
+
+
+@pytest.mark.parametrize("path", sorted(RESULTS.glob("*_small.csv")), ids=lambda p: p.name)
+def test_committed_results_pass_their_check(path):
+    """The committed tables, read back from CSV (bools included), pass."""
+    table = ResultsTable.from_csv(path)
+    assert get_check(table[0]["experiment"])(table) == []
+
+
 #: (experiment, the row to doctor, its doctored values, text of the predicate it must fail)
 DOCTORED = [
     ("T4-HEATSINK", {}, {"ratio_vs_lru_small": 9.0}, "theorem_budget"),
@@ -104,139 +115,108 @@ def test_check_flags_doctored_table(experiment_id, match, changes, predicate):
     assert any(predicate in line for line in failed), failed
 
 
+def assert_holds(experiment_id: str, *predicates: str) -> None:
+    """Each named predicate of the experiment's ``check()`` holds on its
+    smoke table; a name ``check()`` does not yield fails instead of
+    passing vacuously."""
+    check = get_check(experiment_id)
+    table = smoke(experiment_id)
+    known = [predicate for predicate, _ in check.__wrapped__(table)]
+    failed = check(table)
+    for predicate in predicates:
+        assert predicate in known, predicate
+        assert predicate not in failed
+
+
+# The directional tests name the check() predicates that carry each
+# theorem's shape at smoke scale; the predicates themselves live in the
+# experiment modules.
+
+
 class TestT2Directional:
     def test_plru_melts_while_opt_is_cold(self):
-        table = smoke("T2-LOWERBOUND")
-        for row in table:
-            # persistent per-round misses: the melt never heals
-            assert row["late_misses_per_round"] > 5
-            # OPT's post-populate misses are exactly the cold misses on A∪B
-            assert row["opt_misses_post_t0"] == row["opt_cold_misses_expected"]
+        # smoke runs d = 2 only, so "d=2 melts" covers every row
+        assert_holds(
+            "T2-LOWERBOUND",
+            "d=2 melts: late_misses_per_round > 5",
+            "OPT pays only the cold misses: opt_misses_post_t0 == opt_cold_misses_expected",
+        )
 
     def test_ratio_grows_with_rounds(self):
-        table = smoke("T2-LOWERBOUND")
-        for row in table:
-            assert row["ratio_at_K20"] > row["ratio_at_K10"]
+        assert_holds("T2-LOWERBOUND", "d=2 ratio_at_K grows strictly with K")
 
 
 class TestSemiUniformDirectional:
     def test_every_distribution_melts(self):
-        table = smoke("T2-SEMIUNIFORM")
-        for row in table:
-            assert row["late_misses_per_round"] > 5, row["distribution"]
+        assert_holds("T2-SEMIUNIFORM", "every distribution melts: late_misses_per_round > 5")
 
     def test_covers_semi_and_non_semi_uniform(self):
-        flags = {row["semi_uniform"] for row in smoke("T2-SEMIUNIFORM")}
-        assert flags == {True, False}
+        assert_holds(
+            "T2-SEMIUNIFORM", "at least 3 semi-uniform distributions and a non-semi-uniform one"
+        )
 
 
 class TestT3Directional:
     def test_two_random_heals_two_lru_does_not(self):
-        table = smoke("T3-TWORANDOM")
-        adv = [r for r in table if r["workload"].startswith("adversarial")]
-        assert adv
-        for row in adv:
-            assert row["late_misses_per_round_2random"] < row["late_misses_per_round_2lru"]
+        assert_holds("T3-TWORANDOM", "adversarial late misses/round: 2-RANDOM < 2-LRU")
 
     def test_bounded_ratios_on_benign_workloads(self):
-        table = smoke("T3-TWORANDOM")
-        for row in table:
-            if not row["workload"].startswith("adversarial"):
-                assert row["ratio_2random_vs_opt"] < 3.0
+        assert_holds("T3-TWORANDOM", "other workloads: ratio_2random_vs_opt < 3")
 
 
 class TestT4Directional:
     def test_theorem_bound_holds(self):
         """HEAT-SINK at (1+eps)n beats (1+eps) * LRU at (1-2eps)n."""
-        table = smoke("T4-HEATSINK")
-        for row in table:
-            assert row["ratio_vs_lru_small"] <= row["theorem_budget"], row
+        assert_holds("T4-HEATSINK", "ratio_vs_lru_small <= theorem_budget")
 
     def test_tracks_same_size_lru_on_zipf(self):
-        table = smoke("T4-HEATSINK")
-        zipf_rows = [r for r in table if r["workload"].startswith("zipf")]
-        assert zipf_rows
-        for row in zipf_rows:
-            assert row["ratio_vs_lru_same"] < 1.2
+        assert_holds("T4-HEATSINK", "zipf: ratio_vs_lru_same < 1.2")
 
     def test_sink_share_tracks_probability(self):
-        for row in smoke("T4-HEATSINK"):
-            assert abs(row["sink_miss_share"] - row["sink_prob"]) < 0.05
+        assert_holds("T4-HEATSINK", "|sink_miss_share - sink_prob| < 0.05")
 
 
 class TestL5Directional:
     def test_orientable_in_lemma_regime(self):
-        for row in smoke("L5-ORIENT"):
-            if row["in_lemma_regime"]:
-                assert row["pr_orientable"] >= 0.9
-            elif row["beta"] <= 1.6:
-                assert row["pr_orientable"] <= 0.3
+        assert_holds(
+            "L5-ORIENT", "lemma regime: pr_orientable >= 0.9", "beta <= 1.6: pr_orientable <= 0.3"
+        )
 
 
 class TestL6Directional:
     def test_lemma_load_within_bound(self):
-        for row in smoke("L6-COMPONENTS"):
-            if row["load"].startswith("lemma"):
-                assert row["pr_component_ge_i"] <= row["lemma6_bound"] * 1.5
+        assert_holds("L6-COMPONENTS", "lemma load: pr_component_ge_i <= 1.5 * lemma6_bound")
 
     def test_control_load_violates_bound(self):
-        violations = [
-            row for row in smoke("L6-COMPONENTS")
-            if row["load"].startswith("control") and not row["within_bound"]
-        ]
-        assert violations  # heavier load must break the lemma-load bound
+        # heavier load must break the lemma-load bound
+        assert_holds("L6-COMPONENTS", "the control load escapes the bound somewhere")
 
 
 class TestHeatDissipationDirectional:
     def test_two_random_cools(self):
-        table = smoke("HEAT-DISSIPATION")
-        timeline = [r for r in table if r["kind"] == "timeline"]
-        rnd = sorted(
-            (r for r in timeline if r["policy"] == "2-RANDOM"), key=lambda r: r["window"]
-        )
-        lru = sorted(
-            (r for r in timeline if r["policy"] == "2-LRU"), key=lambda r: r["window"]
-        )
-        # final-window miss rate: 2-RANDOM below 2-LRU
-        assert rnd[-1]["miss_rate"] < lru[-1]["miss_rate"]
+        assert_holds("HEAT-DISSIPATION", "final-window miss_rate: 2-RANDOM < 2-LRU")
 
     def test_miss_tail_shapes(self):
-        table = smoke("HEAT-DISSIPATION")
-        tails = {("2-LRU",): {}, ("2-RANDOM",): {}}
-        for r in table:
-            if r["kind"] == "miss_tail":
-                tails[(r["policy"],)][r["i"]] = r["pr_misses_gt_i"]
         # 2-LRU has a heavier far tail (perpetual missers) relative to its
         # own bulk: its tail flattens while 2-RANDOM's keeps decaying
-        lru_tail = tails[("2-LRU",)]
-        rnd_tail = tails[("2-RANDOM",)]
-        i_max = max(lru_tail)
-        assert lru_tail[i_max] > 0
-        assert rnd_tail[2] < rnd_tail[1]  # decaying
+        assert_holds(
+            "HEAT-DISSIPATION",
+            "2-LRU keeps perpetual missers: Pr[misses > i_max] > 0",
+            "2-RANDOM's miss tail decays: Pr[> 2] < Pr[> 1]",
+        )
 
 
 class TestAssocSweepDirectional:
     def test_direct_mapped_is_worst_family_member(self):
-        table = smoke("ASSOC-SWEEP")
-        for workload, group in table.group_by("workload").items():
-            dlru = {r["d"]: r["steady_miss_rate"] for r in group if r["design"] == "d-LRU"}
-            assert dlru[1] >= dlru[4]
+        assert_holds("ASSOC-SWEEP", "d-LRU: direct-mapped no better than d=4")
 
     def test_converges_toward_lru(self):
-        table = smoke("ASSOC-SWEEP")
-        for workload, group in table.group_by("workload").items():
-            rows = {r["d"]: r["vs_full_lru"] for r in group if r["design"] == "d-LRU"}
-            assert rows[4] < 1.3
+        assert_holds("ASSOC-SWEEP", "d-LRU at d=4 within 1.3x of full LRU")
 
 
 class TestAblationDirectional:
     def test_sink_rescues_saturated_bins(self):
-        table = smoke("ABLATION")
-        sat = table.where(lambda r: r["workload"] == "saturated")
-        baseline = next(r for r in sat if r["knob"] == "baseline")
-        no_sink = next(r for r in sat if r["variant"].startswith("p=0"))
-        assert baseline["misses_post_warm"] < 0.2 * no_sink["misses_post_warm"]
+        assert_holds("ABLATION", "saturated: baseline misses < 0.2 * p=0 (no sink) misses")
 
     def test_rows_cover_all_knobs(self):
-        knobs = {r["knob"] for r in smoke("ABLATION")}
-        assert knobs == {"baseline", "bin_size", "sink_prob", "sink_size", "sink_policy"}
+        assert_holds("ABLATION", "rows cover every knob")

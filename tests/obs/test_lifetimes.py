@@ -10,7 +10,6 @@ lifetime ordering directly.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.registry import make_policy
 from repro.obs import hooks

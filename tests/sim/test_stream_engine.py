@@ -20,7 +20,7 @@ import pytest
 import repro
 from repro.core.registry import make_policy
 from repro.errors import ConfigurationError, TraceError
-from repro.sim.engine import _prorated_split, compare_policies, run_policy, run_policy_stream
+from repro.sim.engine import _split, compare_policies, run_policy, run_policy_stream
 from repro.sim.kernels import available_kernels
 from repro.sim.sweep import ParameterGrid, run_sweep
 from repro.traces.npt import NptTraceStream, NptWriter
@@ -199,17 +199,15 @@ class TestRunPolicyDispatch:
         exact = run_policy(
             KERNEL_POLICIES["SetAssociativeLRU"](5), stream.materialize()
         )
-        assert row["steady_miss_rate"] == pytest.approx(exact["steady_miss_rate"])
-        assert row["warmup_miss_rate"] == pytest.approx(exact["warmup_miss_rate"])
+        assert row["steady_miss_rate"] == exact["steady_miss_rate"]
+        assert row["warmup_miss_rate"] == exact["warmup_miss_rate"]
 
     def test_prorated_split_close_to_exact(self):
         stream = STREAMS["warm"](6)
         row = run_policy_stream(KERNEL_POLICIES["HeatSinkLRU"](6), stream)
         exact = run_policy(KERNEL_POLICIES["HeatSinkLRU"](6), stream.materialize())
-        # only the chunk straddling the cut is approximated
-        assert row["steady_miss_rate"] == pytest.approx(
-            exact["steady_miss_rate"], abs=0.02
-        )
+        # the chunk straddling the cut splits its own hits: no proration
+        assert row["steady_miss_rate"] == exact["steady_miss_rate"]
 
     def test_empty_stream(self):
         stream = ArrayTraceStream(np.empty(0, dtype=np.int64))
@@ -218,32 +216,70 @@ class TestRunPolicyDispatch:
         assert np.isnan(row["miss_rate"])
 
 
+class TestExactSplit:
+    """A stream whose length is known before the run splits warm-up from
+    steady state at the cut itself, as the materialized run does."""
+
+    @pytest.mark.parametrize("source", ["zipf", "npt", "array"])
+    def test_known_length_split_equals_materialized(self, source, tmp_path):
+        stream = STREAMS["turnover"](8)
+        if source == "npt":
+            with NptWriter(tmp_path / "t.npt") as w:
+                for block in stream.chunks():
+                    w.append(block)
+            stream = NptTraceStream(tmp_path / "t.npt")
+        elif source == "array":
+            stream = ArrayTraceStream(stream.materialize(), chunk=CHUNK)
+        row = run_policy(KERNEL_POLICIES["HeatSinkLRU"](8), stream)
+        exact = run_policy(KERNEL_POLICIES["HeatSinkLRU"](8), stream.materialize())
+        assert row["chunks"] > 1 and (LENGTH // 4) % CHUNK  # the cut lands mid-chunk
+        assert row["warmup_miss_rate"] == exact["warmup_miss_rate"]
+        assert row["steady_miss_rate"] == exact["steady_miss_rate"]
+
+    def test_msr_csv_prorates_on_its_first_pass_only(self, tmp_path):
+        from repro.traces.io import write_msr_csv
+        from repro.traces.streaming import MsrCsvStream
+
+        trace = STREAMS["warm"](9).materialize()
+        write_msr_csv(trace, tmp_path / "t.csv")
+        stream = MsrCsvStream(tmp_path / "t.csv", chunk=CHUNK)
+        exact = run_policy(KERNEL_POLICIES["PLruCache"](9), trace)
+        assert stream.length is None
+        first = run_policy(KERNEL_POLICIES["PLruCache"](9), stream)
+        assert np.isfinite(first["warmup_miss_rate"]) and np.isfinite(first["steady_miss_rate"])
+        assert first["misses"] == exact["misses"]
+        assert stream.length == LENGTH  # the first pass counted it
+        second = run_policy(KERNEL_POLICIES["PLruCache"](9), stream)
+        assert second["warmup_miss_rate"] == exact["warmup_miss_rate"]
+        assert second["steady_miss_rate"] == exact["steady_miss_rate"]
+
+
 class TestProratedSplit:
     def test_aligned_boundary_is_exact(self):
         # cut = 100 lands exactly on the first chunk boundary
-        counts = [(100, 80), (100, 20), (100, 10), (100, 10)]
-        warm, steady = _prorated_split(counts, 400, 0.25)
+        pieces = [(100, 80), (100, 20), (100, 10), (100, 10)]
+        warm, steady = _split(pieces, 0.25)
         assert warm == pytest.approx(0.8)
         assert steady == pytest.approx(40 / 300)
 
     def test_straddling_chunk_prorated(self):
-        counts = [(100, 50)]
-        warm, steady = _prorated_split(counts, 100, 0.5)
+        pieces = [(100, 50)]
+        warm, steady = _split(pieces, 0.5)
         assert warm == pytest.approx(0.5)
         assert steady == pytest.approx(0.5)
 
     def test_zero_warmup(self):
-        warm, steady = _prorated_split([(10, 5)], 10, 0.0)
+        warm, steady = _split([(10, 5)], 0.0)
         assert np.isnan(warm)
         assert steady == pytest.approx(0.5)
 
     def test_empty(self):
-        warm, steady = _prorated_split([], 0, 0.25)
+        warm, steady = _split([], 0.25)
         assert np.isnan(warm) and np.isnan(steady)
 
     def test_invalid_fraction(self):
         with pytest.raises(ConfigurationError):
-            _prorated_split([(10, 5)], 10, 1.0)
+            _split([(10, 5)], 1.0)
 
 
 # -- streamed sweeps -----------------------------------------------------------

@@ -5,13 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.metrics import warmup_split
 from repro.core.fully.fifo import FIFOCache
 from repro.core.fully.lru import LRUCache
+from repro.core.registry import available_policies, make_policy
 from repro.errors import ConfigurationError
 from repro.sim.engine import compare_policies, run_policy
 from repro.sim.parallel import default_workers, parallel_map
 from repro.sim.sweep import ParameterGrid, run_sweep
 from repro.traces.synthetic import zipf_trace
+from tests.helpers import _extra_kwargs
 
 
 class TestRunPolicy:
@@ -27,6 +30,21 @@ class TestRunPolicy:
         trace = zipf_trace(64, 2000, seed=2)
         row = run_policy(LRUCache(16), trace)
         assert row["misses"] == LRUCache(16).run(trace).num_misses
+
+    @pytest.mark.parametrize("name", available_policies())
+    def test_array_row_equals_run_and_warmup_split(self, name):
+        """An array is one chunk: the row is ``policy.run`` plus the
+        metrics module's split, bit for bit, for every registered policy."""
+        trace = zipf_trace(256, 3001, seed=5)
+        kwargs = _extra_kwargs(name, 32)
+        result = make_policy(name, 32, **kwargs).run(trace)
+        row = run_policy(make_policy(name, 32, **kwargs), trace.pages)
+        warm, steady = warmup_split(result)
+        assert (row["accesses"], row["misses"]) == (result.num_accesses, result.num_misses)
+        assert row["miss_rate"] == result.miss_rate
+        assert row["warmup_miss_rate"] == warm
+        assert row["steady_miss_rate"] == steady
+        assert (row["streamed"], row["chunks"], row["trace"]) == (False, 1, "array")
 
 
 class TestComparePolicies:

@@ -115,6 +115,29 @@ class TestTypedErrors:
         assert main(argv) == 2
         assert "not UTF-8" in _error_line(capsys)
 
+    @pytest.mark.parametrize("damage", ["truncated", "overwritten"])
+    def test_truncated_npz_trace(self, tmp_path, capsys, damage):
+        import repro
+
+        path = repro.save_trace(repro.zipf_trace(1000, 20_000, seed=1), tmp_path / "t.npz")
+        data = bytearray(path.read_bytes())
+        mid = len(data) // 2
+        if damage == "truncated":
+            del data[mid:]  # the zip directory at the end is gone
+        else:
+            data[mid : mid + 64] = bytes(64)  # the compressed member is corrupt
+        path.write_bytes(data)
+        argv = ["simulate", "--trace", str(path), "--policy", "lru", "--capacity", "16"]
+        assert main(argv) == 2
+        assert f"{path}: " in _error_line(capsys)
+
+    def test_csv_passed_as_npz_trace(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text("128166372003061629,hm,0,Read,4096,512,100\n")
+        argv = ["simulate", "--trace", str(path), "--policy", "lru", "--capacity", "16"]
+        assert main(argv) == 2
+        assert f"{path}: not an .npz archive" in _error_line(capsys)
+
     @pytest.mark.parametrize(
         "body", [b"{not json\n", b"[1, 2]\n", b"\xff\xfe\n"],
         ids=["not-json", "json-array", "not-utf8"],

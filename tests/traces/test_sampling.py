@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.mrc import exact_lru_mrc, mrc_gap, policy_mrc, sampled_lru_mrc
+from repro.analysis.mrc import exact_lru_mrc, mrc_gap, policy_mrc
 from repro.core.fully.lru import LRUCache
 from repro.errors import ConfigurationError
 from repro.traces.sampling import shards_lru_mrc, spatial_sample
